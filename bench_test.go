@@ -1,4 +1,5 @@
-// Benchmark harness: one benchmark per paper table/figure (DESIGN.md §4).
+// Benchmark harness: one benchmark per paper table/figure (the experiment
+// functions of internal/core).
 // Custom metrics report the paper's quantities — rounds (time complexity)
 // and bits/node (memory) — alongside wall-clock cost.
 package ssmst

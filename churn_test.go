@@ -11,7 +11,10 @@ import (
 // silent, MST-breaking kinds detected — and the self-stabilizing runner
 // satisfying the same ChurnTarget interface.
 func TestApplyChurnFacade(t *testing.T) {
-	g := RandomGraph(64, 160, 21)
+	g, err := RandomGraph(64, 160, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
 	l, err := Mark(g)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +62,10 @@ func TestChurnQuietAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are perturbed under -race")
 	}
-	g := RandomGraph(192, 480, 6)
+	g, err := RandomGraph(192, 480, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	l, err := Mark(g)
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,6 @@
-// Command experiments regenerates every experiment table of EXPERIMENTS.md
-// (one function per paper table/figure; see DESIGN.md §4).
+// Command experiments regenerates every measured experiment table (one
+// function per paper table/figure in internal/core; README.md § "Reproducing
+// the headline experiments" quotes reference runs).
 //
 // Usage:
 //
@@ -16,10 +17,10 @@ import (
 )
 
 func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), `experiments — regenerate the paper's measured tables (EXPERIMENTS.md).
+	fmt.Fprintf(flag.CommandLine.Output(), `experiments — regenerate the paper's measured tables.
 
-Each experiment maps to one table/figure of Korman–Kutten–Masuzawa (see
-DESIGN.md §4); tables print as Markdown on stdout.
+Each experiment maps to one table/figure of Korman–Kutten–Masuzawa (one
+function in internal/core); tables print as Markdown on stdout.
 
 Usage:
 

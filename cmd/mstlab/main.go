@@ -95,7 +95,7 @@ Engine flags (the knobs BenchmarkEngineScaling measures):
 
 func main() {
 	n := flag.Int("n", 48, "number of nodes")
-	m := flag.Int("m", 0, "number of edges (0: 2.5n)")
+	m := flag.Int("m", 0, "number of edges (0: 2.5n, capped at n(n-1)/2)")
 	seed := flag.Int64("seed", 1, "random seed")
 	fault := flag.String("fault", "", "inject a fault: piecew|pieceid|roots|endp|spdist|sizen|component")
 	churn := flag.String("churn", "", "mutate the live topology: weight-keep|weight-break|cut|add-heavy|add-light")
@@ -117,7 +117,7 @@ func main() {
 	}
 
 	if *m == 0 {
-		*m = *n * 5 / 2
+		*m = min(*n*5/2, *n*(*n-1)/2)
 	}
 	if *fault != "" && *churn != "" {
 		log.Fatal("-fault and -churn are mutually exclusive (one injected event per run)")
@@ -129,7 +129,10 @@ func main() {
 	if *churn != "" && !churnOK {
 		log.Fatalf("unknown churn kind %q", *churn)
 	}
-	g := ssmst.RandomGraph(*n, *m, *seed)
+	g, err := ssmst.RandomGraph(*n, *m, *seed)
+	if err != nil {
+		log.Fatal(err)
+	}
 	mode := ssmst.Sync
 	if *async {
 		mode = ssmst.Async

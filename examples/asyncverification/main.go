@@ -14,7 +14,10 @@ import (
 )
 
 func main() {
-	g := ssmst.RandomGraph(32, 80, 13)
+	g, err := ssmst.RandomGraph(32, 80, 13)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("graph: n=%d m=%d Δ=%d (asynchronous daemon, jitter 0.4)\n",
 		g.N(), g.M(), g.MaxDegree())
 

@@ -14,7 +14,10 @@ import (
 )
 
 func main() {
-	g := ssmst.RandomGraph(64, 160, 5)
+	g, err := ssmst.RandomGraph(64, 160, 5)
+	if err != nil {
+		log.Fatal(err)
+	}
 	budget := ssmst.DetectionBudget(g.N())
 	labeled, err := ssmst.Mark(g)
 	if err != nil {
@@ -59,7 +62,10 @@ func main() {
 	// The transformer heals: detection starts a new epoch, SYNC_MST rebuilds
 	// over the mutated graph, and the network re-stabilizes on the new MST.
 	fmt.Println("\nself-stabilizing transformer under churn:")
-	sg := ssmst.RandomGraph(24, 60, 5)
+	sg, err := ssmst.RandomGraph(24, 60, 5)
+	if err != nil {
+		log.Fatal(err)
+	}
 	r := ssmst.NewSelfStabilizing(sg, sg.N(), ssmst.Sync, 1)
 	if _, ok := r.RunUntilStable(2 * r.StabilizationBudget()); !ok {
 		log.Fatal("did not stabilize")

@@ -13,7 +13,10 @@ import (
 )
 
 func main() {
-	g := ssmst.RandomGraph(64, 160, 7)
+	g, err := ssmst.RandomGraph(64, 160, 7)
+	if err != nil {
+		log.Fatal(err)
+	}
 	budget := ssmst.DetectionBudget(g.N())
 	fmt.Printf("graph: n=%d m=%d; detection budget %d rounds\n", g.N(), g.M(), budget)
 

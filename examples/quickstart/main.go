@@ -10,7 +10,10 @@ import (
 )
 
 func main() {
-	g := ssmst.RandomGraph(48, 120, 42)
+	g, err := ssmst.RandomGraph(48, 120, 42)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("graph: n=%d m=%d Δ=%d\n", g.N(), g.M(), g.MaxDegree())
 
 	// 1. Distributed MST construction (§4): O(n) rounds, O(log n) bits.

@@ -13,7 +13,10 @@ import (
 )
 
 func main() {
-	g := ssmst.RandomGraph(24, 60, 11)
+	g, err := ssmst.RandomGraph(24, 60, 11)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("graph: n=%d m=%d\n", g.N(), g.M())
 
 	r := ssmst.NewSelfStabilizing(g, g.N(), ssmst.Sync, 5)

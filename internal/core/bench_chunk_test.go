@@ -9,10 +9,9 @@ import (
 )
 
 // BenchmarkQuietRoundChunk sweeps Engine.ChunkSize over a settled dense
-// coast network on the pool path — the tuning run behind the PR 9 stepChunk
-// choice. The quiet round is where the lane layout changes the math: each
-// chunk claim now walks flat rows instead of chasing state pointers, so the
-// per-node cost dropped and the atomic-cursor amortization point moved.
+// coast network on the pool path — the tuning run behind the stepChunk
+// choice. The quiet round is where the per-node cost is smallest, so it is
+// where the atomic-cursor amortization point shows most clearly.
 // Run with -cpu to see the contention side; on a single-core box only the
 // amortization slope is visible (larger chunks monotonically cheaper), so
 // the default balances against worker-starvation on skewed detection

@@ -1,6 +1,6 @@
 // Package core orchestrates the experiment suite: every table and figure of
-// the paper maps to a function here (see DESIGN.md §4); cmd/experiments
-// prints the results and EXPERIMENTS.md records a reference run.
+// the paper maps to a function here; cmd/experiments prints the results and
+// README.md § "Reproducing the headline experiments" quotes reference runs.
 package core
 
 import (
@@ -693,9 +693,7 @@ func MeasureVerifierRound(g *graph.Graph, l *verify.Labeled, inplace, fullRechec
 
 // MeasureMultiCoreRound measures the dense incremental verifier round of
 // MeasureVerifierRound with the engine's fan-out capped at a fixed worker
-// count — the multi-core trajectory row (PR 9: the SoA lanes make the
-// per-chunk work contiguous, so this is where the layout change cashes out
-// across cores). With workers == 1 the engine's own gate keeps the round on
+// count — the multi-core trajectory row. With workers == 1 the engine's own gate keeps the round on
 // the serial loop: the 1-worker row is the honest single-core baseline, not
 // a degenerate pool run. The caller pins GOMAXPROCS to the same count so
 // the row label speaks for both the fan-out and the scheduler.

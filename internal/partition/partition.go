@@ -124,6 +124,13 @@ func Compute(h *hierarchy.Hierarchy) (*Partitions, error) {
 		p.BottomOf[v] = -1
 	}
 	p.colorFragments()
+	if n == 1 {
+		// A one-node tree has no edges: its only fragment is smaller than λ
+		// yet is the whole tree, so neither partition has a part and there
+		// is no piece to place. The verifier checks a lone node without
+		// trains.
+		return p, nil
+	}
 	pp, err := p.mergeBlues()
 	if err != nil {
 		return nil, err

@@ -58,39 +58,22 @@ import (
 // decisions, which a per-node closed form cannot replay.
 
 // Quiescent implements runtime.CoastStepper: a coasting node's next step,
-// under an unchanged neighbourhood, is exactly coastTick. In lane residency
-// the probe is one flat []bool read off the coast lane; struct mode falls
-// back to the state's hot block.
-func (m *Machine) Quiescent(ls *runtime.Lanes, i int, st runtime.State) bool {
-	if vl := LanesOf(ls); vl != nil {
-		return vl.Coasting(i)
-	}
+// under an unchanged neighbourhood, is exactly coastTick.
+func (m *Machine) Quiescent(st runtime.State) bool {
 	s, ok := st.(*VState)
 	return ok && s.hot != nil && s.hot.coasting
 }
 
 // CoastAdvance implements runtime.CoastStepper: advance a coasting node's
 // clockwork by k rounds in place, in O(1) — equal to k iterated coastTicks
-// (TestCoastAdvanceMatchesTicks pins the algebra across every wrap). Lane
-// residency brackets the advance with a spill/store of the node's CURRENT
-// row: materialization happens between rounds on the read buffer, so the
-// in-place semantics land there, exactly like the struct path's direct
-// mutation.
+// (TestCoastAdvanceMatchesTicks pins the algebra across every wrap).
 //
 //ssmst:hotpath
 //ssmst:coastpure
-func (m *Machine) CoastAdvance(ls *runtime.Lanes, node int, st runtime.State, deg, k int) {
-	s, ok := st.(*VState)
-	if !ok {
-		return
-	}
-	if vl := LanesOf(ls); vl != nil {
-		vl.SpillRow(node, s)
+func (m *Machine) CoastAdvance(st runtime.State, deg, k int) {
+	if s, ok := st.(*VState); ok {
 		m.coastAdvance(s, k)
-		vl.StoreRow(node, s, false)
-		return
 	}
-	m.coastAdvance(s, k)
 }
 
 // coastTick advances the coast clockwork by one round: the single-round
@@ -256,9 +239,7 @@ func (m *Machine) restsAt(tr Tracker, s *VState, epoch int64) bool {
 // and a parked root launches no resets until a tracked change melts it),
 // so no reset wave can ever reach the frozen member. Freezing therefore
 // cascades down the tree at one hop per round after the roots park.
-// parentFrozen is the parent's coast flag, read by the caller from the
-// authoritative residency (the parent's lane row, or its hot block in
-// struct mode — see parentCoasting in machine.go).
+// parentFrozen is the parent's coast flag.
 func lineageFrozen(s *VState, parent *VState, parentFrozen bool) bool {
 	return trainLineageOK(&s.L.Train.Top, s.MyID, parent, parentFrozen, true) &&
 		trainLineageOK(&s.L.Train.Bottom, s.MyID, parent, parentFrozen, false)

@@ -50,26 +50,18 @@ type VState struct {
 	// function of (labels, level), so it is evaluated once per dwell window
 	// instead of once per round; like every sampler register it stabilizes
 	// within one Ask sweep after arbitrary corruption.
-	CandPort int //ssmst:lane -- transit register: lane column candPort is authoritative while resident
+	CandPort int
 
-	AlarmFlag bool //ssmst:lane -- recomputed every round: the verifier's "no" output
+	AlarmFlag bool // recomputed every round: the verifier's "no" output
 	// AlarmCode records which layer raised the current alarm (AlarmNone when
 	// quiet); exposed for experiments and diagnostics.
-	//
-	//ssmst:lane
 	AlarmCode AlarmCode
 
-	// hot is the struct image of the flattened hot fields — the static
-	// verdict memo, the labelBits memo and the coast certification block
-	// (see vhot). While the state is resident in a lane-bound engine the
-	// authoritative storage is the engine's lane rows (lanes.go) and this
-	// block is a working copy refreshed at the residency boundaries; in
-	// struct mode (Machine.NoLanes, direct StepCore calls) it IS the
-	// storage. nil means memo-empty, everything zero. The Coasting flag the
-	// block carries is protocol state counted in BitSize — the count flows
-	// through bitSizeFlat, which both BitSize and the lane measurement
-	// share.
-	hot *vhot //ssmst:nobits -- flattened hot block; the coast flag it carries is counted via bitSizeFlat
+	// hot holds the static verdict memo, the labelBits memo and the coast
+	// certification block (see vhot). nil means memo-empty, everything
+	// zero. The coasting flag the block carries is protocol state counted in
+	// BitSize.
+	hot *vhot //ssmst:nobits -- memo block; the coast flag it carries is counted in BitSize
 
 	// samplerLevels caches J(v), the claimed-level list the sampler sweeps
 	// (label-derived, same lifetime as the labelBits memo in hot). It is
@@ -83,10 +75,9 @@ type VState struct {
 	samplerMemoOK bool  //ssmst:nobits
 }
 
-// vhot is the block of per-node fields the ENGINE traverses every round —
-// flattened into engine-owned lanes in PR 9 (see lanes.go). Grouping them in
-// one allocated-once block keeps VState's header copy (*s = *src) from
-// dragging them along and gives the lane spill/store a single image to move.
+// vhot is the block of per-node fields the engine reads every round.
+// Grouping them in one allocated-once block keeps VState's header copy
+// (*s = *src) from dragging them along.
 //
 //   - The static-verdict memo (incremental verification; see the package
 //     doc): the static label checks — neighbour presence, SP, size,
@@ -107,21 +98,20 @@ type VState struct {
 //   - The coast block (see coast.go): coasting marks the certified-quiescent
 //     regime — the node's step is pure clockwork until a tracked
 //     neighbourhood change melts it. It is a protocol mode flag and is
-//     counted in BitSize (via bitSizeFlat). coastEpoch is the epoch the
-//     certification was stamped at (an engine-clock memo, like staticEpoch);
-//     coastBits is the memoized orbit-maximum BitSize reported while
-//     coasting.
+//     counted in BitSize. coastEpoch is the epoch the certification was
+//     stamped at (an engine-clock memo, like staticEpoch); coastBits is the
+//     memoized orbit-maximum BitSize reported while coasting.
 type vhot struct {
-	staticValid  bool      //ssmst:lane
-	staticAlarm  bool      //ssmst:lane
-	staticCode   AlarmCode //ssmst:lane
-	staticWindow int       //ssmst:lane
-	staticEpoch  int64     //ssmst:lane
-	labelBits    int       //ssmst:lane
-	labelBitsOK  bool      //ssmst:lane
-	coasting     bool      //ssmst:lane
-	coastEpoch   int64     //ssmst:lane
-	coastBits    int       //ssmst:lane
+	staticValid  bool
+	staticAlarm  bool
+	staticCode   AlarmCode
+	staticWindow int
+	staticEpoch  int64
+	labelBits    int
+	labelBitsOK  bool
+	coasting     bool
+	coastEpoch   int64
+	coastBits    int
 }
 
 // ensureHot returns s's hot block, materializing an empty one on first use.
@@ -130,33 +120,33 @@ type vhot struct {
 //ssmst:hotpath
 func (s *VState) ensureHot() *vhot {
 	if s.hot == nil {
-		s.hot = new(vhot) //ssmst:allow hotpathalloc,coastpure -- at most once per state lifetime; recycled with the state
+		s.hot = new(vhot) //ssmst:allow hotpathalloc -- at most once per state lifetime; recycled with the state
 	}
 	return s.hot
 }
 
-// HotState is a read-only snapshot of the flattened hot fields plus the
-// three transit registers — the external (test/experiment) window onto state
-// that PR 9 moved out of VState's exported fields.
+// HotState is a read-only snapshot of the hot block plus the three
+// per-round output registers — the external (test/experiment) window onto
+// the unexported memo fields.
 type HotState struct {
-	StaticValid  bool      //ssmst:lane
-	StaticAlarm  bool      //ssmst:lane
-	StaticCode   AlarmCode //ssmst:lane
-	StaticWindow int       //ssmst:lane
-	StaticEpoch  int64     //ssmst:lane
-	LabelBits    int       //ssmst:lane
-	LabelBitsOK  bool      //ssmst:lane
-	Coasting     bool      //ssmst:lane
-	CoastEpoch   int64     //ssmst:lane
-	CoastBits    int       //ssmst:lane
-	CandPort     int       //ssmst:lane
-	AlarmFlag    bool      //ssmst:lane
-	AlarmCode    AlarmCode //ssmst:lane
+	StaticValid  bool
+	StaticAlarm  bool
+	StaticCode   AlarmCode
+	StaticWindow int
+	StaticEpoch  int64
+	LabelBits    int
+	LabelBitsOK  bool
+	Coasting     bool
+	CoastEpoch   int64
+	CoastBits    int
+	CandPort     int
+	AlarmFlag    bool
+	AlarmCode    AlarmCode
 }
 
-// Hot snapshots s's hot block (zero if never materialized) and transit
-// registers. For engine-resident states, read through Engine.State so the
-// lane rows are spilled first.
+// Hot snapshots s's hot block (zero if never materialized) and output
+// registers. For engine-resident states, read through Engine.State so a
+// lagged worklist node is materialized first.
 func (s *VState) Hot() HotState {
 	var h vhot
 	if s.hot != nil {
@@ -247,9 +237,7 @@ func (s *VState) InvalidateMemo() {
 		// Injected, cloned or topology-touched states start awake: the coast
 		// certification was computed over content that may no longer exist.
 		// The gated verdict content (staticAlarm/staticCode/staticWindow,
-		// staticEpoch) stays — unreachable behind staticValid, and keeping it
-		// makes invalidation bit-identical between struct and lane residency
-		// (Lanes.ClearRow clears the same gate fields and no more).
+		// staticEpoch) stays — unreachable behind staticValid.
 		h.coasting = false
 		h.coastEpoch = 0
 		h.coastBits = 0
@@ -351,6 +339,8 @@ func (s *VState) copyFromKeepingLabels(src *VState) {
 // but labels change only under faults and label installation, so the
 // O(log n) label walk is paid once per label change instead of once per
 // round (every mutation path resets the memo — see InvalidateMemo).
+//
+//ssmst:hotpath
 func (s *VState) BitSize() int {
 	h := s.ensureHot()
 	if h.coasting && h.coastBits > 0 {
@@ -364,24 +354,15 @@ func (s *VState) BitSize() int {
 		h.labelBits = s.L.BitSize()
 		h.labelBitsOK = true
 	}
-	return s.bitSizeFlat(h.labelBits, s.CandPort, s.AlarmFlag, h.coasting)
-}
-
-// bitSizeFlat is the width formula over the struct-resident registers plus
-// the four lane-resident inputs, passed in so BitSize (struct image) and
-// Lanes.MeasureRow (lane rows) share one accounting. Straight sum, same
-// reasoning as train.State.BitSize: this runs for every node every round.
-// Each flag is counted through bits.Flag (inlined to 1) so bitsizeaudit can
-// tie the accounting to the fields.
-//
-//ssmst:hotpath
-func (s *VState) bitSizeFlat(labelBits, candPort int, alarmFlag, coasting bool) int {
-	return bits.Flag(s.AskValid) + bits.Flag(s.Want.Valid) + bits.Flag(alarmFlag) +
-		bits.Flag(coasting) +
+	// Straight sum, same reasoning as train.State.BitSize: this runs for
+	// every node every round. Each flag is counted through bits.Flag
+	// (inlined to 1) so bitsizeaudit can tie the accounting to the fields.
+	return bits.Flag(s.AskValid) + bits.Flag(s.Want.Valid) + bits.Flag(s.AlarmFlag) +
+		bits.Flag(h.coasting) +
 		s.AlarmCode.BitSize() +
 		bits.ForInt(int64(s.MyID)) +
 		bits.ForInt(int64(s.ParentPort)) +
-		labelBits +
+		h.labelBits +
 		s.TopS.BitSize() +
 		s.BotS.BitSize() +
 		bits.ForInt(int64(s.AskIdx)) +
@@ -391,7 +372,7 @@ func (s *VState) bitSizeFlat(labelBits, candPort int, alarmFlag, coasting bool) 
 		bits.ForInt(int64(s.ServerCur)) +
 		bits.ForInt(int64(s.ServerTmr)) +
 		bits.ForInt(int64(s.Want.ServerID)) + bits.ForInt(int64(s.Want.Level)) +
-		bits.ForInt(int64(candPort))
+		bits.ForInt(int64(s.CandPort))
 }
 
 func pieceSize(p hierarchy.Piece) int {
@@ -462,13 +443,6 @@ type Machine struct {
 	// that compare engine configurations against each other.
 	CoastAfter int
 
-	// NoLanes keeps the hot fields on struct storage: BindLanes binds
-	// nothing and the engine falls back to per-state measurement and struct
-	// memos. This is the reference residency the lane-vs-struct parity
-	// suite (lanes_parity_test.go) steps against the default lane build;
-	// the two are bit-identical in every protocol-visible observable.
-	NoLanes bool
-
 	// staticRecomputes counts static-layer recomputations (memo misses)
 	// across all nodes and rounds — the observable that incremental tests
 	// pin down ("a quiet network recomputes n times total, not n per
@@ -511,10 +485,6 @@ func (a runtimeView) Neighbour(port int) *VState {
 	return nil
 }
 func (a runtimeView) StepEpoch() int64 { return int64(a.v.Round()) }
-func (a runtimeView) VerifierLanes() (*Lanes, int) {
-	return LanesOf(a.v.Lanes()), a.v.Node()
-}
-func (a runtimeView) NeighbourNode(port int) int { return a.v.NeighbourNode(port) }
 func (a runtimeView) LabelsChangedSince(epoch int64) bool {
 	return a.v.NeighbourhoodChangedSince(epoch)
 }
@@ -641,34 +611,13 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	if tracked {
 		epoch = tr.StepEpoch()
 	}
-	// Lane residency: when the view belongs to a lane-bound engine, the
-	// authoritative pre-state image of the flattened fields is the node's
-	// read-buffer row (old's struct may be stale — lane engines spill only
-	// at observation boundaries), and dst's write-buffer row carries what
-	// dst's struct memo carries in struct mode. The four values the entry
-	// guards need are read mode-dispatched into locals; after the header
-	// copy the full row is spilled into dst and the body runs uniformly on
-	// dst's struct image, scattered back to the write row at every exit.
-	var vl *Lanes
-	row := 0
-	lview, _ := v.(laneView)
-	if lview != nil {
-		vl, row = lview.VerifierLanes()
-	}
 	var oldCoasting, dstStaticValid bool
 	var oldCoastEpoch, dstStaticEpoch int64
-	if vl != nil {
-		oldCoasting = vl.coasting.Row(false)[row]
-		oldCoastEpoch = vl.coastEpoch.Row(false)[row]
-		dstStaticValid = vl.staticValid.Row(true)[row]
-		dstStaticEpoch = vl.staticEpoch.Row(true)[row]
-	} else {
-		if h := old.hot; h != nil {
-			oldCoasting, oldCoastEpoch = h.coasting, h.coastEpoch
-		}
-		if h := dst.hot; h != nil {
-			dstStaticValid, dstStaticEpoch = h.staticValid, h.staticEpoch
-		}
+	if h := old.hot; h != nil {
+		oldCoasting, oldCoastEpoch = h.coasting, h.coastEpoch
+	}
+	if h := dst.hot; h != nil {
+		dstStaticValid, dstStaticEpoch = h.staticValid, h.staticEpoch
 	}
 	coastOn := tracked && m.Coast && !m.FullRecheck && m.Mode == Sync
 	if coastOn && oldCoasting && !tr.LabelsChangedSince(oldCoastEpoch) {
@@ -684,29 +633,7 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 			m.labelCopies.Add(1)
 			dst.CopyFrom(old)
 		}
-		if vl != nil {
-			// Row carry, not a full spill/store round-trip: a coast tick
-			// mutates exactly one lane-resident field (CandPort, on a dwell
-			// wrap), so the write row only needs the full 13-lane copy when it
-			// is not already a faithful image of this coasting streak. The
-			// guard detects that by streak identity: every step that leaves or
-			// enters coasting writes its complete row (melt and certification
-			// run the full-step path below), certification epochs are distinct
-			// per round, and in-streak rows diverge from the read row in
-			// CandPort alone — which the fast path refreshes unconditionally.
-			if !(vl.coasting.Row(true)[row] && vl.coastEpoch.Row(true)[row] == oldCoastEpoch) {
-				vl.CopyRow(row)
-			}
-			// coastTick's two lane inputs, read straight off the rows; the
-			// struct image of a lane-resident node is refreshed only at
-			// observation boundaries and full steps.
-			dst.ensureHot().staticWindow = int(vl.staticWindow.Row(false)[row])
-			dst.CandPort = int(vl.candPort.Row(false)[row])
-			m.coastTick(dst)
-			vl.candPort.Row(true)[row] = int32(dst.CandPort)
-		} else {
-			m.coastTick(dst)
-		}
+		m.coastTick(dst)
 		return dst
 	}
 	// Memo-hit label-copy elision. dst is the recycled two-rounds-old state
@@ -735,9 +662,6 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 		m.labelCopies.Add(1)
 		dst.CopyFrom(old)
 	}
-	if vl != nil {
-		vl.SpillRow(row, dst)
-	}
 	s := dst
 	h := s.ensureHot()
 	if h.coasting {
@@ -762,15 +686,20 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	}
 
 	n := s.L.Size.N
+	deg := v.Degree()
 	if n < 2 {
-		s.AlarmFlag = true
-		s.AlarmCode = AlarmSize
-		if vl != nil {
-			vl.StoreRow(row, s, true)
+		// A network of one node has no edges and its empty tree is the MST:
+		// the node only has to be alone and certify itself as the root of a
+		// one-node tree. Any other claim of n < 2 is a size violation.
+		s.AlarmFlag = n != 1 || deg != 0 || s.ParentPort >= 0 ||
+			labeling.CheckSP(&s.L.SP, s.MyID, nil, nil) != nil ||
+			labeling.CheckSize(&s.L.Size, true, nil, nil) != nil
+		s.AlarmCode = AlarmNone
+		if s.AlarmFlag {
+			s.AlarmCode = AlarmSize
 		}
 		return s
 	}
-	deg := v.Degree()
 
 	// ---- Derive tree relations from the components (both layers read
 	// nbs; the dynamic layer needs parent/isRoot too). ----
@@ -955,35 +884,14 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	if restOK && !alarm && !h.coasting && h.staticValid && !h.staticAlarm &&
 		s.samplerMemoOK &&
 		train.AtRest(&s.TopS, &s.L.Train.Top) && train.AtRest(&s.BotS, &s.L.Train.Bottom) &&
-		lineageFrozen(s, parent, parentCoasting(vl, lview, s, parent)) &&
+		lineageFrozen(s, parent, parent != nil && parent.hot != nil && parent.hot.coasting) &&
 		neighboursAtRest(nbs) &&
 		m.samplerOrbitClean(v, s, nbs, levels, n) {
 		h.coasting = true
 		h.coastEpoch = epoch
 		h.coastBits = m.coastFootprint(s)
 	}
-	if vl != nil {
-		vl.StoreRow(row, s, true)
-	}
 	return s
-}
-
-// parentCoasting reads the parent's coast flag for the certification
-// cascade. In lane residency the parent's struct image may be stale (lane
-// engines spill on observation, not per round) and must not be read from a
-// worker anyway — the authoritative, data-race-free source is the parent's
-// read-buffer lane row, immutable for the whole round. Struct mode reads
-// the parent's hot block, which IS authoritative there.
-//
-//ssmst:hotpath
-func parentCoasting(vl *Lanes, lview laneView, s *VState, parent *VState) bool {
-	if parent == nil {
-		return false
-	}
-	if vl != nil {
-		return vl.Coasting(lview.NeighbourNode(s.ParentPort))
-	}
-	return parent.hot != nil && parent.hot.coasting
 }
 
 // staticCoverageAlarm handles the degenerate train sizes the wrap-based

@@ -161,3 +161,43 @@ func TestWorklistChurnSettles(t *testing.T) {
 		t.Fatalf("%d machine steps over 40 post-churn quiet rounds, want 0", got)
 	}
 }
+
+// TestCoastQuietRoundZeroAlloc is the dense-coast hot-path gate: once a
+// dense coast network is fully certified, a quiet round must allocate
+// nothing and copy zero labels — any per-round allocation or label copy on
+// that path would be a regression the benchmarks only show as noise.
+func TestCoastQuietRoundZeroAlloc(t *testing.T) {
+	g := graph.RandomConnected(64, 150, 35)
+	l, err := Mark(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewCoastRunner(l, 9)
+	r.Eng.Parallel = false
+	budget := DetectionBudget(g.N())
+	settled := false
+	for i := 0; i < budget && !settled; i++ {
+		r.Step()
+		settled = true
+		for v := 0; v < g.N() && settled; v++ {
+			settled = r.Eng.State(v).(*VState).Hot().Coasting
+		}
+	}
+	if !settled {
+		t.Fatalf("network never fully certified within %d rounds", budget)
+	}
+
+	copies := r.Machine.LabelCopies()
+	for i := 0; i < 50; i++ {
+		r.Step()
+	}
+	if got := r.Machine.LabelCopies() - copies; got != 0 {
+		t.Fatalf("%d label copies over 50 quiet coast rounds, want 0", got)
+	}
+
+	if raceflag.Enabled {
+		t.Log("race instrumentation allocates; skipping the alloc gate")
+	} else if avg := testing.AllocsPerRun(100, func() { r.Step() }); avg != 0 {
+		t.Fatalf("quiet coast round allocates %.1f times, want 0", avg)
+	}
+}

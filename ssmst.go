@@ -11,11 +11,13 @@
 //   - The self-stabilizing MST construction with O(log n) bits and O(n)
 //     stabilization time (NewSelfStabilizing) — the second main result.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// measured reproduction of every table and figure.
+// README.md maps every paper construct to its package and lists the
+// commands that reproduce the measured tables; internal/runtime/DESIGN.md
+// documents the execution engine.
 package ssmst
 
 import (
+	"fmt"
 	"math/rand"
 
 	"ssmst/internal/graph"
@@ -66,9 +68,16 @@ const (
 )
 
 // RandomGraph generates a connected random graph with n nodes, m edges,
-// scrambled unique identities and distinct weights.
-func RandomGraph(n, m int, seed int64) *Graph {
-	return graph.RandomConnected(n, m, seed)
+// scrambled unique identities and distinct weights. It returns an error
+// unless n ≥ 1 and n-1 ≤ m ≤ n(n-1)/2 (connected and simple).
+func RandomGraph(n, m int, seed int64) (*Graph, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("ssmst: RandomGraph: n=%d, need n ≥ 1", n)
+	}
+	if lo, hi := n-1, n*(n-1)/2; m < lo || m > hi {
+		return nil, fmt.Errorf("ssmst: RandomGraph: m=%d outside [%d, %d] for n=%d (connected simple graph)", m, lo, hi, n)
+	}
+	return graph.RandomConnected(n, m, seed), nil
 }
 
 // ConstructMST runs SYNC_MST (§4) and returns the MST edges and the

@@ -1,9 +1,16 @@
 package ssmst
 
-import "testing"
+import (
+	"testing"
+
+	"ssmst/internal/graph"
+)
 
 func TestFacadePipeline(t *testing.T) {
-	g := RandomGraph(20, 50, 3)
+	g, err := RandomGraph(20, 50, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	edges, rounds, err := ConstructMST(g)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +32,10 @@ func TestFacadePipeline(t *testing.T) {
 }
 
 func TestFacadeMarkTree(t *testing.T) {
-	g := RandomGraph(12, 28, 5)
+	g, err := RandomGraph(12, 28, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	edges, _, err := ConstructMST(g)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +50,10 @@ func TestFacadeMarkTree(t *testing.T) {
 }
 
 func TestFacadeSelfStabilizing(t *testing.T) {
-	g := RandomGraph(12, 30, 7)
+	g, err := RandomGraph(12, 30, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := NewSelfStabilizing(g, g.N(), Sync, 2)
 	if _, ok := r.RunUntilStable(r.StabilizationBudget()); !ok {
 		t.Fatal("did not stabilize")
@@ -54,7 +67,10 @@ func TestFacadeSelfStabilizing(t *testing.T) {
 // correct instance into zero-cost quiet rounds, and a corrupted register
 // melts it back awake and is detected within the Theorem 8.5 budget.
 func TestFacadeWorklist(t *testing.T) {
-	g := RandomGraph(48, 110, 7)
+	g, err := RandomGraph(48, 110, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	l, err := Mark(g)
 	if err != nil {
 		t.Fatal(err)
@@ -77,5 +93,76 @@ func TestFacadeWorklist(t *testing.T) {
 	v.Inject(5, func(s *VState) { s.L.SP.Dist += 3 })
 	if _, _, detected := v.RunUntilAlarm(2 * budget); !detected {
 		t.Fatal("worklist verifier missed the corruption")
+	}
+}
+
+// TestRandomGraphValidatesSize pins the facade's argument contract: sizes
+// that admit no connected simple graph are errors, never panics.
+func TestRandomGraphValidatesSize(t *testing.T) {
+	for _, tc := range []struct {
+		n, m int
+		ok   bool
+	}{
+		{1, 0, true},
+		{2, 1, true},
+		{10, 9, true},
+		{10, 45, true},
+		{0, 0, false},
+		{-3, 0, false},
+		{1, 1, false},
+		{10, 3, false},
+		{10, 8, false},
+		{10, 46, false},
+		{4, -1, false},
+	} {
+		g, err := RandomGraph(tc.n, tc.m, 1)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("RandomGraph(%d, %d): %v", tc.n, tc.m, err)
+		case tc.ok && (g.N() != tc.n || g.M() != tc.m):
+			t.Errorf("RandomGraph(%d, %d) built n=%d m=%d", tc.n, tc.m, g.N(), g.M())
+		case !tc.ok && err == nil:
+			t.Errorf("RandomGraph(%d, %d) accepted a size with no connected simple graph", tc.n, tc.m)
+		}
+	}
+}
+
+// TestFacadeDegenerateGraphs marks the smallest shapes through the facade
+// — a lone node (a trivial MST with no edges), a path, a star and K4 —
+// and requires every verifier mode to stay silent for the full detection
+// budget, then to detect a corrupted distance label within it.
+func TestFacadeDegenerateGraphs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"single", graph.New(1, nil)},
+		{"path", graph.Path(5, 1)},
+		{"star", graph.Star(6, 2)},
+		{"K4", graph.Complete(4, 3)},
+	} {
+		l, err := Mark(tc.g)
+		if err != nil {
+			t.Errorf("%s: Mark: %v", tc.name, err)
+			continue
+		}
+		budget := DetectionBudget(tc.g.N())
+		for _, v := range []struct {
+			mode string
+			r    *Verifier
+		}{
+			{"sync", NewVerifier(l, Sync, 1)},
+			{"async", NewVerifier(l, Async, 1)},
+			{"worklist", NewVerifierWorklist(l, 1)},
+		} {
+			if err := v.r.RunQuiet(budget); err != nil {
+				t.Errorf("%s/%s: %v", tc.name, v.mode, err)
+				continue
+			}
+			v.r.Inject(0, func(s *VState) { s.L.SP.Dist += 3 })
+			if _, _, detected := v.r.RunUntilAlarm(budget); !detected {
+				t.Errorf("%s/%s: corrupted distance label never detected", tc.name, v.mode)
+			}
+		}
 	}
 }
