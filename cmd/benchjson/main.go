@@ -1,11 +1,10 @@
 // Command benchjson emits the repository's perf-trajectory snapshot as
 // machine-readable JSON: ns/round, allocs/round and B/round of the §7
-// verifier machine at n ∈ {1024, 4096, 16384}, across the three step
-// configurations — the clone reference path, the in-place fast path with
+// verifier machine at n ∈ {1024, 4096, 16384}, in two step configurations —
 // every label layer re-checked each round ("full-recheck", the PR2
-// configuration), and the in-place incremental verifier ("incremental",
-// static label verdicts memoized, label copies elided and the sampler sweep
-// batched — re-checked only on neighbourhood change). CI's bench-smoke job
+// configuration) and the incremental verifier ("incremental", static label
+// verdicts memoized, label copies elided and the sampler sweep batched —
+// re-checked only on neighbourhood change). CI's bench-smoke job
 // runs it and uploads the file as an artifact under a per-PR name, so
 // successive PRs accumulate comparable numbers instead of silently
 // overwriting the previous trajectory point. The measurement itself is
@@ -85,7 +84,7 @@ import (
 // churn detection latency.
 type Result struct {
 	N    int    `json:"n"`
-	Path string `json:"path"` // "incremental" | "full-recheck" | "clone" | "churn" | "campaign" | "oracle"
+	Path string `json:"path"` // "incremental" | "full-recheck" | "churn" | "campaign" | "oracle"
 	*core.RoundCost
 	// DetectRounds is set on the "churn" and "campaign" rows: rounds from
 	// the fault (a live MST-breaking weight flip, or a k-corrupted tree
@@ -182,14 +181,13 @@ func main() {
 			log.Fatalf("mark n=%d: %v", n, err)
 		}
 		for _, cfg := range []struct {
-			path                 string
-			inplace, fullRecheck bool
+			path        string
+			fullRecheck bool
 		}{
-			{"incremental", true, false},
-			{"full-recheck", true, true},
-			{"clone", false, true},
+			{"incremental", false},
+			{"full-recheck", true},
 		} {
-			cost := core.MeasureVerifierRound(g, l, cfg.inplace, cfg.fullRecheck, *rounds, 1)
+			cost := core.MeasureVerifierRound(g, l, cfg.fullRecheck, *rounds, 1)
 			rep.Results = append(rep.Results, Result{N: n, Path: cfg.path, RoundCost: &cost})
 		}
 	}
@@ -387,7 +385,7 @@ func main() {
 		// and keep the better sample before comparing.
 		g := graph.RandomConnected(guardN, 3*guardN, 1)
 		if l, err := verify.Mark(g); err == nil {
-			if c := core.MeasureVerifierRound(g, l, true, false, *rounds, 1); c.NsPerRound < got.NsPerRound {
+			if c := core.MeasureVerifierRound(g, l, false, *rounds, 1); c.NsPerRound < got.NsPerRound {
 				got.NsPerRound = c.NsPerRound
 			}
 		}

@@ -27,7 +27,7 @@ import (
 // The analyzer checks constructs, not callees: a hot function may call
 // helpers that are not annotated, and the runtime gate remains the
 // end-to-end backstop. Cold fallback lines inside a hot function (e.g. the
-// scratch-type-mismatch branch of StepInPlace) carry //ssmst:allow
+// nil- or foreign-scratch branch of a Machine.Step) carry //ssmst:allow
 // hotpathalloc with a reason.
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",

@@ -8,6 +8,7 @@ import (
 	mbits "math/bits"
 	"math/rand"
 	gort "runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -622,7 +623,7 @@ func EngineScaling(sizes []int, rounds int, seed int64) *Table {
 		Title:  "E14 — engine throughput: double-buffered rounds, serial vs parallel",
 		Header: []string{"n", "mode", "ns/round", "allocs/round", "B/round"},
 		Remarks: []string{
-			fmt.Sprintf("Worker pool: %d workers (GOMAXPROCS at first use); in-place fast path; steady state after warm-up.", runtime.PoolWorkers()),
+			fmt.Sprintf("Worker pool: %d workers (GOMAXPROCS at first use); recycled scratch; steady state after warm-up.", runtime.PoolWorkers()),
 		},
 	}
 	for _, n := range sizes {
@@ -663,16 +664,11 @@ type RoundCost struct {
 }
 
 // MeasureVerifierRound measures one verifier round over the whole network
-// at steady state, on the in-place fast path or the clone reference path,
-// with or without incremental static-verdict memoization (fullRecheck
-// disables it: the configuration every pre-incremental number was measured
-// in).
-func MeasureVerifierRound(g *graph.Graph, l *verify.Labeled, inplace, fullRecheck bool, rounds int, seed int64) RoundCost {
-	var m runtime.Machine = &verify.Machine{Mode: verify.Sync, Labeled: l, FullRecheck: fullRecheck}
-	if !inplace {
-		m = runtime.WithoutInPlace(m)
-	}
-	e := runtime.New(g, m, seed)
+// at steady state, with or without incremental static-verdict memoization
+// (fullRecheck disables it: the configuration every pre-incremental number
+// was measured in).
+func MeasureVerifierRound(g *graph.Graph, l *verify.Labeled, fullRecheck bool, rounds int, seed int64) RoundCost {
+	e := runtime.New(g, &verify.Machine{Mode: verify.Sync, Labeled: l, FullRecheck: fullRecheck}, seed)
 	// Warm-up: fill both buffers AND let the per-node memo caches settle —
 	// on the incremental path the claimed-level memo is first persisted on
 	// the round that recycles a warm state (round 3), so a 2-round warm-up
@@ -834,17 +830,16 @@ func settleCoasting(r *verify.Runner, n int, worklist bool) bool {
 }
 
 // VerifierScaling measures the production machine the engine exists for:
-// one verifier round over the whole network at growing n — clone path,
-// in-place full re-check, and the in-place incremental verifier
-// (experiment E14b). This is the unit cost of every detection-time figure;
-// the incremental column is the one the large-n experiments
-// (DetectionScaling) run on.
+// one verifier round over the whole network at growing n — full re-check
+// and the incremental verifier (experiment E14b). This is the unit cost of
+// every detection-time figure; the incremental column is the one the
+// large-n experiments (DetectionScaling) run on.
 func VerifierScaling(sizes []int, rounds int, seed int64) *Table {
 	t := &Table{
-		Title:  "E14b — verifier round cost: clone vs full re-check vs incremental",
+		Title:  "E14b — verifier round cost: full re-check vs incremental",
 		Header: []string{"n", "path", "ns/round", "allocs/round", "B/round"},
 		Remarks: []string{
-			"incremental = in-place fast path + memoized static label layer (re-checked only when the neighbourhood's labels change); full-recheck = same engine, memoization disabled; all three are bit-identical in every protocol-visible field.",
+			"incremental = memoized static label layer (re-checked only when the neighbourhood's labels change); full-recheck = same engine, memoization disabled; the two are bit-identical in every protocol-visible field.",
 		},
 	}
 	for _, n := range sizes {
@@ -854,14 +849,13 @@ func VerifierScaling(sizes []int, rounds int, seed int64) *Table {
 			continue
 		}
 		for _, cfg := range []struct {
-			path                 string
-			inplace, fullRecheck bool
+			path        string
+			fullRecheck bool
 		}{
-			{"clone", false, true},
-			{"full-recheck", true, true},
-			{"incremental", true, false},
+			{"full-recheck", true},
+			{"incremental", false},
 		} {
-			c := MeasureVerifierRound(g, l, cfg.inplace, cfg.fullRecheck, rounds, seed)
+			c := MeasureVerifierRound(g, l, cfg.fullRecheck, rounds, seed)
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprint(n), cfg.path,
 				fmt.Sprint(c.NsPerRound),
@@ -942,12 +936,8 @@ func log2floor(n int) int {
 }
 
 func median(xs []int) int {
-	s := append([]int(nil), xs...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
 	return s[len(s)/2]
 }
 

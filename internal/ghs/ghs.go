@@ -13,6 +13,7 @@ package ghs
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"ssmst/internal/graph"
 )
@@ -189,20 +190,8 @@ func Run(g *graph.Graph) (*Result, error) {
 	return &Result{TreeEdges: treeEdges, Rounds: rounds, Levels: maxLevel}, nil
 }
 
+// dedupe sorts xs ascending in place and drops duplicates.
 func dedupe(xs []int) []int {
-	seen := map[int]bool{}
-	out := xs[:0]
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	// sort ascending
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(xs)
+	return slices.Compact(xs)
 }

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Tree is a rooted spanning tree of a graph, represented distributively as
@@ -68,13 +70,10 @@ func NewTree(g *Graph, root int, parent []int) (*Tree, error) {
 }
 
 func (t *Tree) sortChildrenByPort(v int) {
-	ch := t.children[v]
-	// insertion sort by port number at v (children lists are short).
-	for i := 1; i < len(ch); i++ {
-		for j := i; j > 0 && t.G.PortTo(v, ch[j]) < t.G.PortTo(v, ch[j-1]); j-- {
-			ch[j], ch[j-1] = ch[j-1], ch[j]
-		}
-	}
+	// Ports at v are distinct per neighbour (no parallel edges): no ties.
+	slices.SortFunc(t.children[v], func(a, b int) int {
+		return cmp.Compare(t.G.PortTo(v, a), t.G.PortTo(v, b))
+	})
 }
 
 func (t *Tree) computeOrders() error {
@@ -147,12 +146,7 @@ func (t *Tree) EdgeSet() []int {
 			es = append(es, e)
 		}
 	}
-	// counting-sortish: small slices, plain sort is fine
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j] < es[j-1]; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
+	slices.Sort(es)
 	return es
 }
 

@@ -32,7 +32,7 @@ func (s *dirtyState) Clone() State { c := *s; return &c }
 
 func (m dirtyProbe) Init(v *View) State { return &dirtyState{} }
 
-func (m dirtyProbe) Step(v *View) State {
+func (m dirtyProbe) Step(v *View, _ State) State {
 	s := &dirtyState{
 		Changed:     v.NeighbourhoodChangedSince(int64(v.Round()) - 1),
 		ChangedPrev: v.NeighbourhoodChangedSince(int64(v.Round()) - 2),

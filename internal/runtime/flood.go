@@ -21,49 +21,27 @@ func (s *FloodMinState) Clone() State { c := *s; return &c }
 // that touches every neighbour state each round. It exists to measure the
 // engine itself — per-round overhead, allocations, parallel scaling — in
 // benchmarks, experiments, and examples, without the cost profile of any
-// particular paper algorithm. It implements the InPlaceStepper fast path,
-// so its steady-state round loop allocates nothing.
+// particular paper algorithm. Its Step recycles scratch, so its
+// steady-state synchronous round loop allocates nothing.
 type FloodMin struct{}
 
 // Init implements Machine.
 func (FloodMin) Init(v *View) State { return &FloodMinState{Min: v.ID()} }
 
-// Step implements Machine.
-func (m FloodMin) Step(v *View) State { return &FloodMinState{Min: m.nextMin(v)} }
-
-// StepInPlace implements InPlaceStepper, recycling the two-rounds-old state.
-func (m FloodMin) StepInPlace(v *View, scratch State) State {
+// Step implements Machine, recycling the two-rounds-old state when given.
+func (FloodMin) Step(v *View, scratch State) State {
 	s, ok := scratch.(*FloodMinState)
 	if !ok {
 		s = &FloodMinState{}
 	}
-	s.Min = m.nextMin(v)
-	return s
-}
-
-func (FloodMin) nextMin(v *View) graph.NodeID {
 	min := v.Self().(*FloodMinState).Min
 	for p := 0; p < v.Degree(); p++ {
 		if ns := v.Neighbour(p).(*FloodMinState); ns.Min < min {
 			min = ns.Min
 		}
 	}
-	return min
+	s.Min = min
+	return s
 }
 
-// FloodMinClone is FloodMin without the in-place fast path — the baseline
-// allocate-per-step cost. Delegation (not embedding) keeps StepInPlace out
-// of its method set.
-type FloodMinClone struct{}
-
-// Init implements Machine.
-func (FloodMinClone) Init(v *View) State { return FloodMin{}.Init(v) }
-
-// Step implements Machine.
-func (FloodMinClone) Step(v *View) State { return FloodMin{}.Step(v) }
-
-var (
-	_ Machine        = FloodMin{}
-	_ InPlaceStepper = FloodMin{}
-	_ Machine        = FloodMinClone{}
-)
+var _ Machine = FloodMin{}

@@ -27,9 +27,9 @@
 // Synchronous rounds are double-buffered: the engine owns two persistent
 // []State buffers and swaps them each round, so the steady-state round loop
 // performs no slice allocation. The buffer being written into holds the
-// states of two rounds ago; machines that implement InPlaceStepper receive
-// that stale state as scratch memory and can recycle it, making the round
-// loop allocation-free end to end.
+// states of two rounds ago; Machine.Step receives that stale state as
+// scratch memory and may recycle it, making the round loop allocation-free
+// end to end.
 //
 // Invariant (read-previous-round): during round r every View reads only the
 // buffer finalized at round r-1. The write buffer is never visible through a
@@ -277,43 +277,24 @@ func (v *View) Rand() *rand.Rand {
 // Machine is a distributed protocol in the register model. Init produces the
 // clean-start state of a node (simultaneous wake-up); Step computes the
 // node's next state from the view. Step must treat all states in the view as
-// immutable and return a fresh or cloned state.
-type Machine interface {
-	Init(v *View) State
-	Step(v *View) State
-}
-
-// InPlaceStepper is an optional Machine fast path for synchronous rounds.
-// StepInPlace computes the same next state Step would, but may recycle the
-// memory of scratch — the node's state from two rounds earlier (nil, or of a
-// foreign type, after New, SetState or Corrupt). The contract:
+// immutable. The contract on scratch:
 //
+//   - scratch is memory the step may recycle for its result: under the
+//     synchronous daemon, the node's state from two rounds earlier (nil, or
+//     of a foreign type, after New, SetState or Corrupt); under the
+//     asynchronous daemon, always nil — it steps on a single buffer where the
+//     node's current state stays visible, so there is nothing to recycle.
 //   - The returned value must not depend on the contents of scratch; scratch
 //     is a memory recycling hint, never an input.
 //   - The returned state must not alias anything reachable from the View
 //     (neighbour or self states of the read buffer) other than scratch.
-//   - Under an InPlaceStepper machine, states obtained from Engine.State are
-//     invalidated two StepSync calls later (their memory is recycled);
-//     callers that need a durable snapshot must Clone.
-//
-// The asynchronous daemon never uses this path: it steps on a single buffer
-// where the node's current state stays visible during the step.
-type InPlaceStepper interface {
-	StepInPlace(v *View, scratch State) State
+//   - States obtained from Engine.State are invalidated two StepSync calls
+//     later (their memory is recycled); callers that need a durable
+//     snapshot must Clone.
+type Machine interface {
+	Init(v *View) State
+	Step(v *View, scratch State) State
 }
-
-// WithoutInPlace wraps a machine so that it no longer advertises the
-// InPlaceStepper fast path: the engine falls back to Machine.Step even if
-// the wrapped machine implements StepInPlace. Benchmarks and determinism
-// tests use it to run the clone path and the in-place path of the same
-// machine side by side.
-func WithoutInPlace(m Machine) Machine { return cloneOnly{m} }
-
-// cloneOnly deliberately has no StepInPlace method.
-type cloneOnly struct{ m Machine }
-
-func (c cloneOnly) Init(v *View) State { return c.m.Init(v) }
-func (c cloneOnly) Step(v *View) State { return c.m.Step(v) }
 
 // DefaultParallelThreshold is the network size below which parallel
 // dispatch is skipped. Measured crossover: one pool handoff costs on the
@@ -323,10 +304,10 @@ const DefaultParallelThreshold = 512
 
 // stepChunk is the unit of work claimed off the round cursor: large enough
 // to amortize the atomic add, small enough to balance uneven step costs.
-// Swept with BenchmarkQuietRoundChunk (32–1024 over a settled n=16384 coast
-// network): the quiet-round curve is flat within jitter, so 128 stands on
-// its load-balancing merit — at n=4096 with 8
-// workers it still yields 4 claims per worker for skewed detection rounds.
+// A sweep of 32–1024 over a settled n=16384 coast network found the
+// quiet-round curve flat within jitter, so 128 stands on its load-balancing
+// merit — at n=4096 with 8 workers it still yields 4 claims per worker for
+// skewed detection rounds.
 const stepChunk = 128
 
 // Engine executes a Machine over a graph under one of the two daemons.
@@ -337,7 +318,6 @@ type Engine struct {
 	// synced at; MutateTopology/ResyncTopology advance it.
 	topoVersion int64
 	machine     Machine
-	inplace     InPlaceStepper // non-nil iff machine implements the fast path
 	states      []State
 	prev        []State // spare buffer; swapped with states each sync round
 	round       int
@@ -364,10 +344,6 @@ type Engine struct {
 	// that do not implement it fall back to dense rounds. The asynchronous
 	// daemon ignores it.
 	Worklist bool
-	// ChunkSize overrides the per-worker claim unit for parallel rounds
-	// (0 = stepChunk). Exposed so the bench layer can sweep it; the measured
-	// default stands for normal use.
-	ChunkSize int
 
 	maxBits     int
 	activations int64
@@ -434,7 +410,6 @@ func New(g *graph.Graph, machine Machine, seed int64) *Engine {
 		done:        make([]bool, g.N()),
 		dirty:       make([]int64, g.N()),
 	}
-	e.inplace, _ = machine.(InPlaceStepper)
 	e.coaster, _ = machine.(CoastStepper)
 	e.view.engine = e
 	e.view.snap = e.states
@@ -469,8 +444,8 @@ func (e *Engine) Activations() int64 { return e.activations }
 // MaxStateBits returns the maximum BitSize observed on any node at any time.
 func (e *Engine) MaxStateBits() int { return e.maxBits }
 
-// State returns node v's current state (read-only; see InPlaceStepper for
-// the lifetime caveat under in-place machines). Under worklist stepping a
+// State returns node v's current state (read-only; see Machine for the
+// lifetime caveat under synchronous stepping). Under worklist stepping a
 // skipped node's lagged clockwork is materialized before the state is
 // returned, so observers never see a lagged state.
 func (e *Engine) State(v int) State {
@@ -725,12 +700,7 @@ func (e *Engine) noteState(v int) {
 func (e *Engine) stepNode(v *View, i int) (bitSize int, alarm, done bool) {
 	v.node = i
 	v.rngOK = false
-	var s State
-	if e.inplace != nil {
-		s = e.inplace.StepInPlace(v, e.stepNext[i])
-	} else {
-		s = e.machine.Step(v)
-	}
+	s := e.machine.Step(v, e.stepNext[i])
 	e.stepNext[i] = s
 	bitSize = s.BitSize()
 	if a, ok := s.(Alarmer); ok && a.Alarm() {
@@ -744,14 +714,6 @@ func (e *Engine) stepNode(v *View, i int) (bitSize int, alarm, done bool) {
 	return bitSize, alarm, done
 }
 
-// chunk returns the per-worker claim unit (ChunkSize override or stepChunk).
-func (e *Engine) chunk() int {
-	if e.ChunkSize > 0 {
-		return e.ChunkSize
-	}
-	return stepChunk
-}
-
 // effectiveWorkers returns how many pool workers a parallel round should
 // occupy: capped by Workers and by the number of chunks in the round.
 func (e *Engine) effectiveWorkers(n int) int {
@@ -759,8 +721,8 @@ func (e *Engine) effectiveWorkers(n int) int {
 	if e.Workers > 0 && e.Workers < w {
 		w = e.Workers
 	}
-	if c := e.chunk(); (n+c-1)/c < w {
-		w = (n + c - 1) / c
+	if c := (n + stepChunk - 1) / stepChunk; c < w {
+		w = c
 	}
 	return w
 }
@@ -859,14 +821,13 @@ func (e *Engine) runChunks(v *View) {
 	v.engine = e
 	v.snap = e.stepSnap
 	n := len(e.stepSnap)
-	chunk := e.chunk()
 	localMax, alarms, done := 0, 0, 0
 	for {
-		lo := int(e.cursor.Add(int64(chunk))) - chunk
+		lo := int(e.cursor.Add(stepChunk)) - stepChunk
 		if lo >= n {
 			break
 		}
-		hi := lo + chunk
+		hi := lo + stepChunk
 		if hi > n {
 			hi = n
 		}
@@ -968,7 +929,7 @@ func (e *Engine) StepAsync() {
 		v.snap = e.states
 		v.node = node
 		v.rngOK = false
-		e.states[node] = e.machine.Step(v)
+		e.states[node] = e.machine.Step(v, nil)
 		e.noteState(node)
 		e.activations++
 		e.stepsTaken++

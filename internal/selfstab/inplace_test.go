@@ -11,13 +11,20 @@ import (
 	"ssmst/internal/verify"
 )
 
-// newEngine builds a transformer engine with the oracle snapshot wired, on
-// either the in-place fast path or the clone path.
-func newEngine(g *graph.Graph, seed int64, clonePath bool) *runtime.Engine {
+// freshScratch is the reference wrapper: every step allocates its result.
+type freshScratch struct{ runtime.Machine }
+
+func (f freshScratch) Step(v *runtime.View, _ runtime.State) runtime.State {
+	return f.Machine.Step(v, nil)
+}
+
+// newEngine builds a transformer engine with the oracle snapshot wired,
+// either recycling scratch or on the fresh-scratch reference.
+func newEngine(g *graph.Graph, seed int64, reference bool) *runtime.Engine {
 	m := NewMachine(g, g.N(), verify.Sync)
 	var mm runtime.Machine = m
-	if clonePath {
-		mm = runtime.WithoutInPlace(m)
+	if reference {
+		mm = freshScratch{m}
 	}
 	eng := runtime.New(g, mm, seed)
 	m.Snapshot = func() []*SState {
@@ -52,9 +59,9 @@ func compareEngines(t *testing.T, r int, clone, inplace, par *runtime.Engine) {
 
 // TestInPlaceMatchesClone runs the transformer from a clean start through a
 // full epoch — resync, build, label, and the check phase — and asserts the
-// in-place path (serial and parallel-forced) is bit-identical to the clone
-// path every round, including across every phase transition. CI runs it
-// under -race.
+// recycling engine (serial and parallel-forced) is bit-identical to the
+// fresh-scratch reference every round, including across every phase
+// transition. CI runs it under -race.
 func TestInPlaceMatchesClone(t *testing.T) {
 	g := graph.RandomConnected(16, 40, 3)
 	clone := newEngine(g, 2, true)

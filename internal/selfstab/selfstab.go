@@ -154,7 +154,6 @@ func (s *SState) Done() bool { return s.Phase == PhaseCheck && !s.Alarm() }
 
 var (
 	_ runtime.Machine         = (*Machine)(nil)
-	_ runtime.InPlaceStepper  = (*Machine)(nil)
 	_ runtime.Alarmer         = (*SState)(nil)
 	_ runtime.MemoInvalidator = (*SState)(nil)
 	_ runtime.PortRemapper    = (*SState)(nil)
@@ -256,23 +255,16 @@ func recycleCheck(dst, src *verify.VState) *verify.VState {
 	return dst
 }
 
-// Step advances the transformer at one node (the clone path: every call
-// returns freshly allocated state).
-func (m *Machine) Step(v *runtime.View) runtime.State {
-	return m.stepInto(v, new(SState), m.scratchOf(v))
-}
-
-// StepInPlace implements runtime.InPlaceStepper: the composite next state
-// is written into the recycled two-rounds-old SState, reusing its
-// Build/BuildPrev/Check sub-states, so the steady-state round loop
-// allocates only at phase transitions (and nothing at all once a phase is
-// entered).
+// Step implements runtime.Machine: the composite next state is written
+// into the recycled two-rounds-old SState, reusing its Build/BuildPrev/Check
+// sub-states, so the steady-state synchronous round loop allocates only at
+// phase transitions (and nothing at all once a phase is entered).
 //
 //ssmst:hotpath
-func (m *Machine) StepInPlace(v *runtime.View, scratch runtime.State) runtime.State {
+func (m *Machine) Step(v *runtime.View, scratch runtime.State) runtime.State {
 	dst, ok := scratch.(*SState)
 	if !ok || dst == nil {
-		dst = new(SState) //ssmst:allow hotpathalloc -- cold fallback: first round only, before the engine owns a recycled slot
+		dst = new(SState) //ssmst:allow hotpathalloc -- cold fallback: every async activation, and the first sync round before the engine owns a recycled slot
 	}
 	return m.stepInto(v, dst, m.scratchOf(v))
 }
@@ -292,8 +284,8 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 	}
 	*dst = *old
 	s := dst
-	// Deep-copy the sub-states into the recycled slots (what the clone path's
-	// Clone did); from here on s shares no memory with old. The sub-state a
+	// Deep-copy the sub-states into the recycled slots (what Clone would
+	// produce); from here on s shares no memory with old. The sub-state a
 	// phase's own hot step overwrites wholesale is deferred to that branch —
 	// BuildPrev during Build (the advancing pulse uses its slot as the step
 	// destination), Check during Check (the verifier copies the pre-step

@@ -8,12 +8,19 @@ import (
 	"ssmst/internal/runtime"
 )
 
+// freshScratch is the reference wrapper: every step allocates its result.
+type freshScratch struct{ runtime.Machine }
+
+func (f freshScratch) Step(v *runtime.View, _ runtime.State) runtime.State {
+	return f.Machine.Step(v, nil)
+}
+
 // TestInPlaceMatchesClone asserts the SYNC_MST register program produces
-// bit-identical states on the in-place and the clone path, every round of a
-// full construction.
+// bit-identical states whether each step recycles the two-rounds-old state
+// or allocates a fresh one, every round of a full construction.
 func TestInPlaceMatchesClone(t *testing.T) {
 	g := graph.RandomConnected(48, 120, 11)
-	clone := runtime.New(g, runtime.WithoutInPlace(Machine{}), 1)
+	clone := runtime.New(g, freshScratch{Machine{}}, 1)
 	inplace := runtime.New(g, Machine{}, 1)
 	for r := 0; r < 400*2; r++ {
 		clone.StepSync()

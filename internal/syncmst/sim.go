@@ -20,6 +20,7 @@ package syncmst
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"ssmst/internal/graph"
 	"ssmst/internal/hierarchy"
@@ -217,18 +218,7 @@ func Simulate(g *graph.Graph) (*Result, error) {
 }
 
 func sortedUnique(xs []int) []int {
-	out := append([]int(nil), xs...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	k := 0
-	for i := range out {
-		if i == 0 || out[i] != out[i-1] {
-			out[k] = out[i]
-			k++
-		}
-	}
-	return out[:k]
+	out := slices.Clone(xs)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

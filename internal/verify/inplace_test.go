@@ -10,10 +10,17 @@ import (
 	"ssmst/internal/runtime"
 )
 
-// TestInPlaceMatchesClone asserts the verifier's InPlaceStepper fast path
-// is bit-identical to the clone path — serial and parallel-forced — through
-// a quiet phase, a multi-layer fault, detection, and the alarmed steady
-// state. CI runs it under -race, which also exercises the worker pool over
+// freshScratch is the reference wrapper: every step allocates its result.
+type freshScratch struct{ runtime.Machine }
+
+func (f freshScratch) Step(v *runtime.View, _ runtime.State) runtime.State {
+	return f.Machine.Step(v, nil)
+}
+
+// TestInPlaceMatchesClone asserts the verifier's recycling step is
+// bit-identical to a fresh-scratch reference — serial and parallel-forced —
+// through a quiet phase, a multi-layer fault, detection, and the alarmed
+// steady state. CI runs it under -race, which also exercises the worker pool over
 // the scratch-carrying Views.
 func TestInPlaceMatchesClone(t *testing.T) {
 	g := graph.RandomConnected(64, 160, 5)
@@ -22,7 +29,7 @@ func TestInPlaceMatchesClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &Machine{Mode: Sync, Labeled: l}
-	clone := runtime.New(g, runtime.WithoutInPlace(m), 3)
+	clone := runtime.New(g, freshScratch{m}, 3)
 	inplace := runtime.New(g, m, 3)
 	par := runtime.New(g, m, 3)
 	par.Parallel = true
@@ -34,8 +41,8 @@ func TestInPlaceMatchesClone(t *testing.T) {
 		t.Helper()
 		for v := 0; v < g.N(); v++ {
 			// Clone normalizes the simulator-side memo caches on both sides
-			// (recycled states persist the claimed-level list, one-round
-			// clone-path states do not); every protocol-visible field is
+			// (recycled states persist the claimed-level list, fresh
+			// reference states do not); every protocol-visible field is
 			// compared bit-for-bit.
 			want := clone.State(v).Clone()
 			if !reflect.DeepEqual(want, inplace.State(v).Clone()) {

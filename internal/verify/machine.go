@@ -385,7 +385,6 @@ func pieceSize(p hierarchy.Piece) int {
 
 var (
 	_ runtime.Machine         = (*Machine)(nil)
-	_ runtime.InPlaceStepper  = (*Machine)(nil)
 	_ runtime.CoastStepper    = (*Machine)(nil)
 	_ runtime.Alarmer         = (*VState)(nil)
 	_ runtime.MemoInvalidator = (*VState)(nil)
@@ -410,8 +409,7 @@ type NodeView interface {
 // whether the tracked (label) state of the node or any neighbour changed
 // after a given epoch, and MarkLabelsChanged records that this step is
 // itself mutating the node's labels (the corrupted-ParentPort repair). A
-// view without it (StepCore in tests) simply re-checks every layer each
-// round.
+// view without it simply re-checks every layer each round.
 type Tracker interface {
 	StepEpoch() int64
 	LabelsChangedSince(epoch int64) bool
@@ -565,29 +563,19 @@ func scratchFor(v *runtime.View) *Scratch {
 	return sc
 }
 
-// Step implements runtime.Machine for standalone verification runs.
-func (m *Machine) Step(v *runtime.View) runtime.State {
-	return m.StepInto(new(VState), runtimeView{v}, scratchFor(v))
-}
-
-// StepInPlace implements runtime.InPlaceStepper: the next state is written
-// into the recycled two-rounds-old VState (reusing its NodeLabels buffers)
-// and the per-View Scratch supplies every temporary, so the steady-state
-// round loop allocates nothing.
+// Step implements runtime.Machine: the next state is written into the
+// recycled two-rounds-old VState (reusing its NodeLabels buffers) and the
+// per-View Scratch supplies every temporary, so the steady-state
+// synchronous round loop allocates nothing.
 //
 //ssmst:hotpath
-func (m *Machine) StepInPlace(v *runtime.View, scratch runtime.State) runtime.State {
+func (m *Machine) Step(v *runtime.View, scratch runtime.State) runtime.State {
 	dst, ok := scratch.(*VState)
 	if !ok || dst == nil {
-		dst = new(VState) //ssmst:allow hotpathalloc -- cold fallback: first round only, before the engine owns a recycled slot
+		dst = new(VState) //ssmst:allow hotpathalloc -- cold fallback: every async activation, and the first sync round before the engine owns a recycled slot
 	}
 	//ssmst:allow hotpathalloc -- the adapter does not escape StepInto; the runtime alloc gate pins this at 0 allocs
 	return m.StepInto(dst, runtimeView{v}, scratchFor(v))
-}
-
-// StepCore runs one verifier round at one node into a fresh state.
-func (m *Machine) StepCore(v NodeView) *VState {
-	return m.StepInto(new(VState), v, new(Scratch))
 }
 
 // StepInto runs one verifier round at one node, writing the next state into
@@ -654,10 +642,11 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 		dstStaticEpoch <= epoch && !tr.LabelsChangedSince(dstStaticEpoch) {
 		dst.copyFromKeepingLabels(old)
 	} else {
-		// A fresh dst (the clone path, or a cold scratch slot) is discarded
-		// after one round: persisting the claimed-level memo on it would
-		// allocate a per-step slice for nothing, so such steps build J(v)
-		// into the per-worker scratch instead (see the sampler layer).
+		// A fresh dst (nil scratch: every async activation, or a cold sync
+		// slot) has no recycled memo buffer: persisting the claimed-level
+		// memo on it would allocate a per-step slice for nothing, so such
+		// steps build J(v) into the per-worker scratch instead (see the
+		// sampler layer).
 		persistMemo = dst.L != nil
 		m.labelCopies.Add(1)
 		dst.CopyFrom(old)

@@ -21,22 +21,16 @@ type Runner struct {
 
 // NewRunner builds an engine with the marker's labels installed. Synchronous
 // rounds fan out over the shared worker pool at large n (bit-identical to
-// serial stepping; see the runtime package doc), run on the in-place
-// zero-allocation fast path, and re-check the static label layers only when
-// the engine's change tracking reports a neighbourhood label change
-// (incremental verification; bit-identical to NewFullRecheckRunner).
+// serial stepping; see the runtime package doc), recycle each node's
+// two-rounds-old state so the round loop allocates nothing, and re-check
+// the static label layers only when the engine's change tracking reports a
+// neighbourhood label change (incremental verification; bit-identical to
+// NewFullRecheckRunner).
 func NewRunner(l *Labeled, mode Mode, seed int64) *Runner {
-	return newRunner(l, mode, seed, false, false)
-}
-
-// NewClonePathRunner is NewRunner with the InPlaceStepper fast path
-// disabled (runtime.WithoutInPlace) and static-verdict memoization off:
-// the clone-per-step, check-everything reference configuration for
-// measuring — and cross-checking — the in-place incremental engine. Its
-// rows in BENCH_prN.json and the E14b table are measured in exactly this
-// configuration.
-func NewClonePathRunner(l *Labeled, mode Mode, seed int64) *Runner {
-	return newRunner(l, mode, seed, true, true)
+	m := &Machine{Mode: mode, Labeled: l}
+	eng := runtime.New(l.G, m, seed)
+	eng.Parallel = true
+	return &Runner{Labeled: l, Machine: m, Eng: eng, Async: mode == Async}
 }
 
 // NewFullRecheckRunner is NewRunner with static-verdict memoization
@@ -45,18 +39,9 @@ func NewClonePathRunner(l *Labeled, mode Mode, seed int64) *Runner {
 // measured against; the two are bit-identical in every protocol-visible
 // field (TestIncrementalMatchesFullRecheck).
 func NewFullRecheckRunner(l *Labeled, mode Mode, seed int64) *Runner {
-	return newRunner(l, mode, seed, false, true)
-}
-
-func newRunner(l *Labeled, mode Mode, seed int64, clonePath, fullRecheck bool) *Runner {
-	m := &Machine{Mode: mode, Labeled: l, FullRecheck: fullRecheck}
-	var mm runtime.Machine = m
-	if clonePath {
-		mm = runtime.WithoutInPlace(m)
-	}
-	eng := runtime.New(l.G, mm, seed)
-	eng.Parallel = true
-	return &Runner{Labeled: l, Machine: m, Eng: eng, Async: mode == Async}
+	r := NewRunner(l, mode, seed)
+	r.Machine.FullRecheck = true
+	return r
 }
 
 // NewCoastRunner is NewRunner (Sync mode) with the coast regime enabled but
@@ -65,7 +50,7 @@ func newRunner(l *Labeled, mode Mode, seed int64, clonePath, fullRecheck bool) *
 // configuration the worklist engine is differentially tested against — the
 // two run identical machine code and must be bit-identical everywhere.
 func NewCoastRunner(l *Labeled, seed int64) *Runner {
-	r := newRunner(l, Sync, seed, false, false)
+	r := NewRunner(l, Sync, seed)
 	r.Machine.Coast = true
 	return r
 }

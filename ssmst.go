@@ -19,6 +19,7 @@ package ssmst
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ssmst/internal/graph"
 	"ssmst/internal/oracle"
@@ -102,19 +103,13 @@ func MarkTree(g *Graph, treeEdges []int) (*Labeled, error) {
 }
 
 // NewVerifier builds a verification run over the labeled instance. Rounds
-// run on the engine's zero-allocation in-place fast path and re-check the
+// recycle each node's two-rounds-old state (no allocation) and re-check the
 // static label layers incrementally: their memoized per-node verdict is
 // replayed until the engine's change tracking reports a neighbourhood label
 // change, so a quiet round costs the dynamic train/sampler work plus one
 // O(Δ) change probe rather than the full label check.
 func NewVerifier(l *Labeled, mode Mode, seed int64) *Verifier {
 	return verify.NewRunner(l, mode, seed)
-}
-
-// NewVerifierClonePath is NewVerifier on the clone-per-step reference path
-// (the fast path disabled) — for perf comparisons and cross-checks.
-func NewVerifierClonePath(l *Labeled, mode Mode, seed int64) *Verifier {
-	return verify.NewClonePathRunner(l, mode, seed)
 }
 
 // NewVerifierFullRecheck is NewVerifier with incremental verification
@@ -147,16 +142,10 @@ func NewVerifierWorklist(l *Labeled, seed int64) *Verifier {
 }
 
 // NewSelfStabilizing builds a self-stabilizing MST run; bound is the
-// polynomial upper bound on n assumed by the reset substrate. Rounds run
-// on the engine's zero-allocation in-place fast path.
+// polynomial upper bound on n assumed by the reset substrate. Rounds
+// recycle each node's two-rounds-old state.
 func NewSelfStabilizing(g *Graph, bound int, mode Mode, seed int64) *SelfStabilizing {
 	return selfstab.NewRunner(g, bound, mode, seed)
-}
-
-// NewSelfStabilizingClonePath is NewSelfStabilizing on the clone-per-step
-// reference path — for perf comparisons and cross-checks.
-func NewSelfStabilizingClonePath(g *Graph, bound int, mode Mode, seed int64) *SelfStabilizing {
-	return selfstab.NewClonePathRunner(g, bound, mode, seed)
 }
 
 // NewSelfStabilizingFullRecheck is NewSelfStabilizing with the embedded
@@ -239,18 +228,22 @@ func NormalizeWeights(g *Graph, candidate []int) *Graph {
 	for i := range perm {
 		perm[i] = i
 	}
-	for i := 1; i < len(perm); i++ {
-		for j := i; j > 0 && order(perm[j], perm[j-1]); j-- {
-			perm[j], perm[j-1] = perm[j-1], perm[j]
+	// Stable, so edges the order leaves tied keep index order.
+	slices.SortStableFunc(perm, func(a, b int) int {
+		switch {
+		case order(a, b):
+			return -1
+		case order(b, a):
+			return 1
 		}
-	}
-	out := graph.New(g.N(), nil)
+		return 0
+	})
 	// Preserve identities.
 	ids := make([]graph.NodeID, g.N())
 	for v := range ids {
 		ids[v] = g.ID(v)
 	}
-	out = graph.New(g.N(), ids)
+	out := graph.New(g.N(), ids)
 	rank := make([]graph.Weight, g.M())
 	for r, e := range perm {
 		rank[e] = graph.Weight(r + 1)
