@@ -71,9 +71,9 @@ func BenchmarkEngineScaling(b *testing.B) {
 		} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, bc.name), func(b *testing.B) {
 				e := bc.build(b)
-				e.Parallel = bc.parallel
-				e.ParallelThreshold = 256
-				e.ForcePool = bc.parallel // measure the pool even on 1 core
+				if bc.parallel {
+					e.Workers = runtime.PoolWorkers() // the pool even on 1 core
+				}
 				// Fill both buffers and let the per-node memo caches settle
 				// (the claimed-level memo persists on the first recycled
 				// round), so 1x smoke runs measure the steady state.

@@ -13,6 +13,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	gort "runtime"
 	"time"
 
 	"ssmst"
@@ -40,7 +41,7 @@ Examples:
   go run ./cmd/mstlab -n 64 -corrupt 4                 # catch a 4-edit non-MST tree
   go run ./cmd/mstlab -selfstab -n 32 -churn add-light # rebuild after link churn
   go run ./cmd/mstlab -selfstab -n 32                  # full §10 stabilization
-  go run ./cmd/mstlab -n 4096 -serial -fullrecheck     # reference step path
+  go run ./cmd/mstlab -n 4096 -workers 1 -fullrecheck  # reference step path
 
 Graph flags:
 
@@ -81,9 +82,9 @@ Run-mode flags:
 
 Engine flags (the knobs BenchmarkEngineScaling measures):
 
-  -serial       disable worker-pool fan-out for synchronous rounds
-  -workers int  cap pool workers per round (0 = all pool workers); nonzero
-                also forces pool engagement even on one core (-serial wins)
+  -workers int  workers per synchronous round (default GOMAXPROCS): 1 steps
+                serially, k ≥ 2 fans out over up to k pool workers even on
+                one core; output is identical for every value
   -fullrecheck  disable incremental verification: re-check every label
                 layer every round instead of memoizing the static verdict
                 (the pre-incremental reference configuration)
@@ -99,18 +100,13 @@ func main() {
 	corrupt := flag.Int("corrupt", -1, "label a k-edit corrupted spanning tree instead of the MST (-1: off; 0: the MST itself)")
 	async := flag.Bool("async", false, "asynchronous daemon")
 	selfstab := flag.Bool("selfstab", false, "run the self-stabilizing construction instead")
-	serial := flag.Bool("serial", false, "disable worker-pool fan-out for synchronous rounds")
-	workers := flag.Int("workers", 0, "cap pool workers per round (0: all); nonzero also forces pool engagement (-serial wins)")
+	workers := flag.Int("workers", gort.GOMAXPROCS(0), "workers per synchronous round (1: serial; k ≥ 2: pool fan-out)")
 	fullRecheck := flag.Bool("fullrecheck", false, "disable incremental verification (re-check all label layers every round)")
 	flag.Usage = usage
 	flag.CommandLine.SetOutput(os.Stderr)
 	flag.Parse()
 
-	tune := func(e *ssmst.Engine) {
-		e.Parallel = !*serial
-		e.Workers = *workers
-		e.ForcePool = *workers != 0
-	}
+	tune := func(e *ssmst.Engine) { e.Workers = *workers }
 
 	if *m == 0 {
 		*m = min(*n*5/2, *n*(*n-1)/2)

@@ -630,8 +630,9 @@ func EngineScaling(sizes []int, rounds int, seed int64) *Table {
 		g := graph.RandomConnected(n, 3*n, seed)
 		for _, par := range []bool{false, true} {
 			e := runtime.New(g, runtime.FloodMin{}, seed)
-			e.Parallel = par
-			e.ForcePool = par  // keep the row's label truthful on 1-core hosts
+			if par {
+				e.Workers = runtime.PoolWorkers() // the pool even on 1-core hosts
+			}
 			e.RunSyncRounds(2) // fill both buffers: steady state
 			var m0, m1 gort.MemStats
 			gort.ReadMemStats(&m0)
@@ -689,14 +690,13 @@ func MeasureVerifierRound(g *graph.Graph, l *verify.Labeled, fullRecheck bool, r
 
 // MeasureMultiCoreRound measures the dense incremental verifier round of
 // MeasureVerifierRound with the engine's fan-out capped at a fixed worker
-// count — the multi-core trajectory row. With workers == 1 the engine's own gate keeps the round on
-// the serial loop: the 1-worker row is the honest single-core baseline, not
-// a degenerate pool run. The caller pins GOMAXPROCS to the same count so
+// count — the multi-core trajectory row. With workers == 1 the round runs
+// inline: the 1-worker row is the honest single-core baseline, not a
+// degenerate pool run. The caller pins GOMAXPROCS to the same count so
 // the row label speaks for both the fan-out and the scheduler.
 func MeasureMultiCoreRound(g *graph.Graph, l *verify.Labeled, workers, rounds int, seed int64) RoundCost {
 	m := &verify.Machine{Mode: verify.Sync, Labeled: l}
 	e := runtime.New(g, m, seed)
-	e.Parallel = true
 	e.Workers = workers
 	e.RunSyncRounds(6)
 	var m0, m1 gort.MemStats
@@ -736,7 +736,6 @@ func MeasureMultiCoreDetection(n, workers int, seed int64) (MultiCoreDetection, 
 		return out, false
 	}
 	r := verify.NewRunner(l, verify.Sync, seed)
-	r.Eng.Parallel = true
 	r.Eng.Workers = workers
 	r.Eng.RunSyncRounds(2*maxTrainBudget(l) + 32)
 	rng := rand.New(rand.NewSource(seed * 31))
@@ -752,10 +751,10 @@ func MeasureMultiCoreDetection(n, workers int, seed int64) (MultiCoreDetection, 
 
 // MeasureCoastQuietRound measures the steady-state cost of one QUIET round
 // of the coasting regime — the whole network certified frozen, nothing
-// changing — on the sparse worklist engine (worklist=true, the PR 8 path:
-// empty frontier, O(active + Δ) = O(1) per round) or on the dense
-// full-sweep coast reference (worklist=false: every node is still visited
-// each round to conclude it is frozen, so the quiet round stays Θ(n)).
+// changing — on the sparse worklist engine (worklist=true: empty frontier,
+// O(active + Δ) = O(1) per round) or on the same runner stepped densely
+// (worklist=false: every node is still visited each round to conclude it
+// is frozen, so the quiet round stays Θ(n)).
 // Settling into the coasting regime is setup, not measurement. ok is false
 // when the marker failed or the network did not fully certify within the
 // settle budget. Shared by cmd/benchjson's PR 8 rows, so the sub-linearity
@@ -766,12 +765,8 @@ func MeasureCoastQuietRound(n int, worklist bool, rounds int, seed int64) (Round
 	if err != nil {
 		return RoundCost{}, false
 	}
-	var r *verify.Runner
-	if worklist {
-		r = verify.NewWorklistRunner(l, seed)
-	} else {
-		r = verify.NewCoastRunner(l, seed)
-	}
+	r := verify.NewWorklistRunner(l, seed)
+	r.Eng.Worklist = worklist
 	if !settleCoasting(r, n, worklist) {
 		return RoundCost{}, false
 	}

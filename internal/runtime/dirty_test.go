@@ -104,9 +104,7 @@ func TestDirtyEpochParallelDeterminism(t *testing.T) {
 	m := dirtyProbe{markNode: 17, markRound: 5}
 	serial := New(g, m, 1)
 	par := New(g, m, 1)
-	par.Parallel = true
-	par.ParallelThreshold = 1
-	par.ForcePool = true
+	par.Workers = 2
 	for r := 0; r < 12; r++ {
 		serial.StepSync()
 		par.StepSync()

@@ -36,13 +36,14 @@
 // View, so parallel and serial stepping are bit-identical by construction —
 // each next-state is a pure function of (node, round, previous buffer).
 //
-// Parallel rounds are served by a package-level pool of persistent worker
-// goroutines sized by runtime.GOMAXPROCS(0) at first use. A round is
-// dispatched by handing the engine to the pool once per participating
-// worker; workers claim fixed-size index chunks off a shared atomic cursor
-// (dynamic load balancing, deterministic output: node i's next state does
-// not depend on which worker computes it). Each worker owns one reusable
-// View whose per-node PRNG is reseeded, not reallocated, per step.
+// Engine.Workers is the one fan-out setting: ≤ 1 steps a round inline,
+// k ≥ 2 hands it to a package-level pool of persistent worker goroutines
+// sized by runtime.GOMAXPROCS(0) (at least 2) at first use. Dense and
+// worklist rounds share one body; pool workers claim fixed-size index
+// chunks of it off a shared atomic cursor (dynamic load balancing,
+// deterministic output: node i's next state does not depend on which
+// worker computes it). Each worker owns one reusable View whose per-node
+// PRNG is reseeded, not reallocated, per step.
 //
 // Instrumentation (max state bits, alarm and termination counts) is folded
 // into the step loop as per-worker partial reductions merged once per round,
@@ -296,12 +297,6 @@ type Machine interface {
 	Step(v *View, scratch State) State
 }
 
-// DefaultParallelThreshold is the network size below which parallel
-// dispatch is skipped. Measured crossover: one pool handoff costs on the
-// order of a few microseconds, while a typical Step runs in ~100ns, so
-// fan-out starts paying for itself at a few hundred nodes.
-const DefaultParallelThreshold = 512
-
 // stepChunk is the unit of work claimed off the round cursor: large enough
 // to amortize the atomic add, small enough to balance uneven step costs.
 // A sweep of 32–1024 over a settled n=16384 coast network found the
@@ -327,18 +322,11 @@ type Engine struct {
 	// Jitter > 0 makes the asynchronous daemon activate each node
 	// 1+Poisson-like extra times per time unit.
 	Jitter float64
-	// Parallel enables worker-pool fan-out for synchronous rounds.
-	Parallel bool
-	// Workers caps this engine's fan-out (0 = all pool workers, i.e. the
-	// GOMAXPROCS of the process when the pool was first used).
+	// Workers is the synchronous fan-out: ≤ 1 (the zero value) steps every
+	// round inline on the calling goroutine; k ≥ 2 fans a round out over
+	// min(k, PoolWorkers(), chunks) pool workers, even on a one-core
+	// process. Results are bit-identical for every value.
 	Workers int
-	// ParallelThreshold is the minimum n at which fan-out engages
-	// (0 = DefaultParallelThreshold).
-	ParallelThreshold int
-	// ForcePool engages fan-out even on a single-core process, where it
-	// cannot win on wall-clock. For tests and measurements that must
-	// exercise the pool (which has a minimum of 2 workers) anywhere.
-	ForcePool bool
 	// Worklist enables sparse active-set stepping for synchronous rounds
 	// when the machine implements CoastStepper (see worklist.go); machines
 	// that do not implement it fall back to dense rounds. The asynchronous
@@ -376,7 +364,6 @@ type Engine struct {
 	nextFrontier []int32
 	inFrontier   []bool  // nextFrontier membership (dedup)
 	matT         []int64 // nil until the first sparse round
-	sparseActive []int32 // active list shared with pool workers for one round
 	stepsTaken   int64
 	lastActive   int
 
@@ -384,12 +371,14 @@ type Engine struct {
 	view  View  // reusable View for serial stepping, Init, and async
 	order []int // reusable activation-order buffer for StepAsync
 
-	// Per-round fan-out state shared with pool workers.
-	stepSnap []State
-	stepNext []State
-	cursor   atomic.Int64
-	wg       sync.WaitGroup
-	mu       sync.Mutex // guards the merge of per-worker reductions
+	// Per-round fan-out state shared with pool workers; stepActive is the
+	// sparse round's frontier (nil in a dense round, which steps 0..n-1).
+	stepSnap   []State
+	stepNext   []State
+	stepActive []int32
+	cursor     atomic.Int64
+	wg         sync.WaitGroup
+	mu         sync.Mutex // guards the merge of per-worker reductions
 }
 
 // New creates an engine with clean-start states from machine.Init. The
@@ -489,19 +478,6 @@ func (e *Engine) bumpDirty(v int, epoch int64) {
 	if epoch > e.maxDirty {
 		e.maxDirty = epoch
 	}
-}
-
-// flushMarks drains a View's in-round dirty marks into the engine's commit
-// list. Parallel rounds call it under the reduction mutex; the serial round
-// calls it directly.
-//
-//ssmst:hotpath
-func (e *Engine) flushMarks(v *View) {
-	if len(v.pending) == 0 {
-		return
-	}
-	e.pendingDirty = append(e.pendingDirty, v.pending...)
-	v.pending = v.pending[:0]
 }
 
 // commitMarks publishes the round's buffered dirty marks; called after the
@@ -674,57 +650,55 @@ func (e *Engine) noteState(v int) {
 			done = true
 		}
 	}
-	if alarm != e.alarmed[v] {
-		e.alarmed[v] = alarm
-		if alarm {
-			e.alarmCount++
-		} else {
-			e.alarmCount--
-		}
+	e.alarmCount += setFlag(e.alarmed, v, alarm)
+	e.doneCount += setFlag(e.done, v, done)
+}
+
+// setFlag stores f as flags[i] and returns the resulting change in the
+// flags' population count, so alarm and termination counts are kept by
+// deltas whichever nodes a round steps.
+//
+//ssmst:hotpath
+func setFlag(flags []bool, i int, f bool) int {
+	if flags[i] == f {
+		return 0
 	}
-	if done != e.done[v] {
-		e.done[v] = done
-		if done {
-			e.doneCount++
-		} else {
-			e.doneCount--
-		}
+	flags[i] = f
+	if f {
+		return 1
 	}
+	return -1
 }
 
 // stepNode computes node i's next state into stepNext, refreshes its
-// instrumentation flags, and returns its (bits, alarm, done) contribution
-// for the caller's partial reduction.
+// instrumentation flags, and returns its bit size and alarm/termination
+// count deltas for the caller's partial reduction.
 //
 //ssmst:hotpath
-func (e *Engine) stepNode(v *View, i int) (bitSize int, alarm, done bool) {
+func (e *Engine) stepNode(v *View, i int) (bitSize, dAlarm, dDone int) {
 	v.node = i
 	v.rngOK = false
 	s := e.machine.Step(v, e.stepNext[i])
 	e.stepNext[i] = s
-	bitSize = s.BitSize()
+	alarm, done := false, false
 	if a, ok := s.(Alarmer); ok && a.Alarm() {
 		alarm = true
 	}
 	if t, ok := s.(Terminator); ok && t.Done() {
 		done = true
 	}
-	e.alarmed[i] = alarm
-	e.done[i] = done
-	return bitSize, alarm, done
+	return s.BitSize(), setFlag(e.alarmed, i, alarm), setFlag(e.done, i, done)
 }
 
-// effectiveWorkers returns how many pool workers a parallel round should
-// occupy: capped by Workers and by the number of chunks in the round.
-func (e *Engine) effectiveWorkers(n int) int {
-	w := pool.size
-	if e.Workers > 0 && e.Workers < w {
-		w = e.Workers
+// workers returns how many workers step a round of n nodes: 1 (inline)
+// when Workers ≤ 1, otherwise Workers capped by the pool size and by the
+// round's chunk count — a round of one chunk is never fanned out.
+func (e *Engine) workers(n int) int {
+	if e.Workers <= 1 {
+		return 1
 	}
-	if c := (n + stepChunk - 1) / stepChunk; c < w {
-		w = c
-	}
-	return w
+	ensurePool()
+	return max(1, min(e.Workers, pool.size, (n+stepChunk-1)/stepChunk))
 }
 
 // StepSync executes one synchronous round: every node reads the previous
@@ -744,55 +718,8 @@ func (e *Engine) StepSync() {
 		}
 	}
 	n := e.g.N()
-	e.stepSnap, e.stepNext = e.states, e.prev
-	e.alarmCount, e.doneCount = 0, 0
-	e.inSyncStep = true
-	parallel := false
-	if e.Parallel {
-		thr := e.ParallelThreshold
-		if thr == 0 {
-			thr = DefaultParallelThreshold
-		}
-		if n >= thr {
-			ensurePool()
-			// On a single-core process fan-out cannot win; engage the
-			// (minimum-2) pool only under an explicit ForcePool.
-			if w := e.effectiveWorkers(n); w > 1 && (pool.cores > 1 || e.ForcePool) {
-				parallel = true
-				e.cursor.Store(0)
-				e.wg.Add(w)
-				for i := 0; i < w; i++ {
-					pool.jobs <- e
-				}
-				e.wg.Wait()
-			}
-		}
-	}
-	if !parallel {
-		v := &e.view
-		v.snap = e.stepSnap
-		localMax, alarms, done := 0, 0, 0
-		for i := 0; i < n; i++ {
-			b, a, d := e.stepNode(v, i)
-			if b > localMax {
-				localMax = b
-			}
-			if a {
-				alarms++
-			}
-			if d {
-				done++
-			}
-		}
-		if localMax > e.maxBits {
-			e.maxBits = localMax
-		}
-		e.alarmCount, e.doneCount = alarms, done
-		e.flushMarks(v)
-	}
-	e.inSyncStep = false
-	e.states, e.prev = e.stepNext, e.stepSnap
-	e.stepSnap, e.stepNext = nil, nil
+	e.runRound(nil)
+	e.states, e.prev = e.prev, e.states
 	e.round++
 	e.activations += int64(n)
 	e.stepsTaken += int64(n)
@@ -807,50 +734,89 @@ func (e *Engine) StepSync() {
 	e.commitMarks()
 }
 
-// runChunks is the body a pool worker executes for one engine round: claim
-// fixed-size index ranges off the shared cursor until the round is
-// exhausted, then merge this worker's partial reduction.
+// runRound steps one synchronous round into the spare buffer e.prev: every
+// node when active is nil (dense), else the nodes of active (sparse). The
+// caller installs the written slots. A serial round steps the whole index
+// space inline; a fanned-out round hands it to the pool (runChunks); both
+// go through stepRange and fold. The inline path takes no atomic or lock:
+// under the race detector each is a vector-clock operation, and on small
+// rounds they more than doubled the round cost.
+func (e *Engine) runRound(active []int32) {
+	e.stepSnap, e.stepNext, e.stepActive = e.states, e.prev, active
+	e.inSyncStep = true
+	n := e.roundLen()
+	if w := e.workers(n); w == 1 {
+		var sum roundSum
+		e.view.snap = e.stepSnap
+		e.stepRange(&e.view, 0, n, &sum)
+		e.fold(&e.view, sum)
+	} else {
+		e.cursor.Store(0)
+		e.wg.Add(w)
+		for i := 0; i < w; i++ {
+			pool.jobs <- e
+		}
+		e.wg.Wait()
+	}
+	e.inSyncStep = false
+	e.stepSnap, e.stepNext, e.stepActive = nil, nil, nil
+}
+
+// roundLen is the size of the in-flight round's index space.
+func (e *Engine) roundLen() int {
+	if e.stepActive != nil {
+		return len(e.stepActive)
+	}
+	return len(e.stepSnap)
+}
+
+// roundSum is one participant's partial reduction of a synchronous round.
+type roundSum struct{ maxBits, dAlarm, dDone int }
+
+// stepRange steps positions [lo, hi) of the round's index space — node j in
+// a dense round, stepActive[j] in a sparse one — and adds their
+// contributions to sum.
+//
+//ssmst:hotpath
+func (e *Engine) stepRange(v *View, lo, hi int, sum *roundSum) {
+	for j := lo; j < hi; j++ {
+		i := j
+		if e.stepActive != nil {
+			i = int(e.stepActive[j])
+		}
+		b, da, dd := e.stepNode(v, i)
+		sum.maxBits = max(sum.maxBits, b)
+		sum.dAlarm += da
+		sum.dDone += dd
+	}
+}
+
+// fold merges one participant's partial reduction and in-round dirty marks
+// into the engine. Pool workers call it under e.mu.
+func (e *Engine) fold(v *View, sum roundSum) {
+	e.maxBits = max(e.maxBits, sum.maxBits)
+	e.alarmCount += sum.dAlarm
+	e.doneCount += sum.dDone
+	e.pendingDirty = append(e.pendingDirty, v.pending...)
+	v.pending = v.pending[:0]
+}
+
+// runChunks is a pool worker's share of a fanned-out round: claim
+// fixed-size ranges off the shared cursor until the round's index space is
+// exhausted, then fold this worker's reduction under the engine mutex.
 func (e *Engine) runChunks(v *View) {
-	defer e.wg.Done()
-	// Drop the engine references before parking so a discarded engine's
-	// full state buffer is not pinned for the process lifetime. The machine
-	// scratch deliberately survives — reusing it across rounds is what
-	// keeps machine steps allocation-free — at the scoped cost of pinning
-	// the O(Δ) states its neighbour lists last pointed at.
-	defer func() { v.engine, v.snap = nil, nil }()
-	v.engine = e
 	v.snap = e.stepSnap
-	n := len(e.stepSnap)
-	localMax, alarms, done := 0, 0, 0
+	n := e.roundLen()
+	var sum roundSum
 	for {
 		lo := int(e.cursor.Add(stepChunk)) - stepChunk
 		if lo >= n {
 			break
 		}
-		hi := lo + stepChunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			b, a, d := e.stepNode(v, i)
-			if b > localMax {
-				localMax = b
-			}
-			if a {
-				alarms++
-			}
-			if d {
-				done++
-			}
-		}
+		e.stepRange(v, lo, min(lo+stepChunk, n), &sum)
 	}
 	e.mu.Lock()
-	if localMax > e.maxBits {
-		e.maxBits = localMax
-	}
-	e.alarmCount += alarms
-	e.doneCount += done
-	e.flushMarks(v)
+	e.fold(v, sum)
 	e.mu.Unlock()
 }
 
@@ -858,30 +824,30 @@ func (e *Engine) runChunks(v *View) {
 // owning one reusable View, parked on the jobs channel between rounds. A
 // round is dispatched by sending the engine once per participating worker.
 var pool struct {
-	once  sync.Once
-	size  int
-	cores int // GOMAXPROCS at first use, before the minimum-2 floor
-	jobs  chan *Engine
+	once sync.Once
+	size int
+	jobs chan *Engine
 }
 
 func ensurePool() {
 	pool.once.Do(func() {
-		pool.cores = gort.GOMAXPROCS(0)
-		size := pool.cores
-		if size < 2 {
-			size = 2
-		}
-		pool.size = size
-		pool.jobs = make(chan *Engine, size)
-		for i := 0; i < size; i++ {
+		pool.size = max(2, gort.GOMAXPROCS(0))
+		pool.jobs = make(chan *Engine, pool.size)
+		for i := 0; i < pool.size; i++ {
 			go func() {
 				var v View
 				for e := range pool.jobs {
-					if e.sparseActive != nil {
-						e.runChunksSparse(&v)
-					} else {
-						e.runChunks(&v)
-					}
+					v.engine = e
+					e.runChunks(&v)
+					// Drop the engine references before parking so a
+					// discarded engine's state buffers are not pinned for
+					// the process lifetime. The machine scratch deliberately
+					// survives — reusing it across rounds is what keeps
+					// machine steps allocation-free — at the scoped cost of
+					// pinning the O(Δ) states its neighbour lists last
+					// pointed at.
+					v.engine, v.snap = nil, nil
+					e.wg.Done()
 				}
 			}()
 		}

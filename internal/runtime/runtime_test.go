@@ -120,22 +120,6 @@ func TestSyncReadsPreviousRound(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	g := graph.RandomConnected(128, 300, 5)
-	seq := New(g, minIDMachine{}, 9)
-	par := New(g, minIDMachine{}, 9)
-	par.Parallel = true
-	for r := 0; r < 10; r++ {
-		seq.StepSync()
-		par.StepSync()
-		for v := 0; v < g.N(); v++ {
-			if seq.State(v).(*minIDState).min != par.State(v).(*minIDState).min {
-				t.Fatalf("round %d node %d: parallel diverged", r, v)
-			}
-		}
-	}
-}
-
 // TestParallelDeterminism asserts the acceptance criterion of the engine
 // rewrite: over 100 rounds on a random graph, pooled parallel stepping —
 // with and without scratch recycling — is bit-identical to serial
@@ -145,13 +129,9 @@ func TestParallelDeterminism(t *testing.T) {
 	g := graph.RandomConnected(300, 900, 21)
 	serial := New(g, freshScratch{minIDMachine{}}, 4)
 	par := New(g, freshScratch{minIDMachine{}}, 4)
-	par.Parallel = true
-	par.ParallelThreshold = 1 // fan out below the default threshold
-	par.ForcePool = true      // even on a single-core host
+	par.Workers = 2 // fans out even on a single-core host
 	inplace := New(g, minIDMachine{}, 4)
-	inplace.Parallel = true
-	inplace.ParallelThreshold = 1
-	inplace.ForcePool = true
+	inplace.Workers = 2
 	for r := 0; r < 100; r++ {
 		serial.StepSync()
 		par.StepSync()
@@ -171,16 +151,41 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestFanOutWorkers pins the single fan-out gate: Workers ≤ 1 steps inline,
+// k ≥ 2 occupies min(k, pool size, chunks) workers whatever GOMAXPROCS is,
+// so the pool-path parity tests really run on the pool at GOMAXPROCS=1.
+func TestFanOutWorkers(t *testing.T) {
+	pw := PoolWorkers()
+	if pw < 2 {
+		t.Fatalf("pool has %d workers, want ≥ 2", pw)
+	}
+	for _, tc := range []struct {
+		workers, n, want int
+	}{
+		{0, 300, 1},
+		{1, 300, 1},
+		{-4, 1 << 16, 1},
+		{2, 300, 2},                        // three chunks, even at GOMAXPROCS=1
+		{2, stepChunk, 1},                  // one chunk is never fanned out
+		{2, 0, 1},                          // empty round
+		{64, 300, min(3, pw)},              // capped by chunks
+		{1 << 20, 1 << 20, pw},             // capped by the pool
+		{pw + 1, (pw + 1) * stepChunk, pw}, // capped by the pool
+	} {
+		e := &Engine{Workers: tc.workers}
+		if got := e.workers(tc.n); got != tc.want {
+			t.Errorf("Workers=%d n=%d: %d workers, want %d", tc.workers, tc.n, got, tc.want)
+		}
+	}
+}
+
 // TestWorkersCap checks that the Workers knob limits fan-out without
 // changing results.
 func TestWorkersCap(t *testing.T) {
 	g := graph.RandomConnected(200, 500, 3)
 	serial := New(g, minIDMachine{}, 5)
 	capped := New(g, minIDMachine{}, 5)
-	capped.Parallel = true
-	capped.ParallelThreshold = 1
-	capped.ForcePool = true
-	capped.Workers = 1 // degenerates to the serial path
+	capped.Workers = 1 // the serial path
 	for r := 0; r < 20; r++ {
 		serial.StepSync()
 		capped.StepSync()
@@ -209,7 +214,9 @@ func TestParallelSpeedup(t *testing.T) {
 	const rounds = 30
 	timeRun := func(parallel bool) time.Duration {
 		e := New(g, minIDMachine{}, 1)
-		e.Parallel = parallel
+		if parallel {
+			e.Workers = cores
+		}
 		e.RunSyncRounds(2) // warm both buffers
 		start := time.Now()
 		e.RunSyncRounds(rounds)

@@ -18,8 +18,7 @@ package runtime
 // per-node clockwork (CoastAdvance with k=1) — and provides the k-round
 // closed form of that clockwork. The verifier's coast regime (certified
 // static verdict, trains at rest, starved sampler sweep; see
-// internal/verify/coast.go) and SYNC_MST's terminated states (a literal
-// fixed point) implement it.
+// internal/verify/coast.go) implements it.
 //
 // The engine side seeds the frontier from the same dirty-epoch journal that
 // powers incremental verification:
@@ -138,34 +137,9 @@ func (e *Engine) materialize(i int, T int64) {
 	e.coaster.CoastAdvance(e.states[i], deg, int(k))
 }
 
-// stepNodeSparse steps node i and returns its bit size and the round's
-// alarm/termination count deltas (the sparse round adjusts the incremental
-// counters by flips instead of re-counting the population).
-//
-//ssmst:hotpath
-func (e *Engine) stepNodeSparse(v *View, i int) (bitSize, dAlarm, dDone int) {
-	wasA, wasD := e.alarmed[i], e.done[i]
-	b, a, d := e.stepNode(v, i)
-	if a != wasA {
-		if a {
-			dAlarm = 1
-		} else {
-			dAlarm = -1
-		}
-	}
-	if d != wasD {
-		if d {
-			dDone = 1
-		} else {
-			dDone = -1
-		}
-	}
-	return b, dAlarm, dDone
-}
-
 // stepSyncSparse is the worklist variant of StepSync: materialize the
-// active set and its read halo, step only the active set (serial or fanned
-// out over the shared pool), install the new states by per-slot buffer
+// active set and its read halo, step only the active set (runRound, the
+// dense round's body), install the new states by per-slot buffer
 // swap, and rebuild the frontier for the next round from still-active nodes
 // plus the round's committed dirty marks.
 func (e *Engine) stepSyncSparse() {
@@ -196,49 +170,7 @@ func (e *Engine) stepSyncSparse() {
 		return
 	}
 
-	e.stepSnap, e.stepNext = e.states, e.prev
-	e.inSyncStep = true
-	parallel := false
-	if e.Parallel {
-		thr := e.ParallelThreshold
-		if thr == 0 {
-			thr = DefaultParallelThreshold
-		}
-		if len(active) >= thr {
-			ensurePool()
-			if w := e.effectiveWorkers(len(active)); w > 1 && (pool.cores > 1 || e.ForcePool) {
-				parallel = true
-				e.sparseActive = active
-				e.cursor.Store(0)
-				e.wg.Add(w)
-				for i := 0; i < w; i++ {
-					pool.jobs <- e
-				}
-				e.wg.Wait()
-				e.sparseActive = nil
-			}
-		}
-	}
-	if !parallel {
-		v := &e.view
-		v.snap = e.stepSnap
-		localMax, dAlarm, dDone := 0, 0, 0
-		for _, i := range active {
-			b, da, dd := e.stepNodeSparse(v, int(i))
-			if b > localMax {
-				localMax = b
-			}
-			dAlarm += da
-			dDone += dd
-		}
-		if localMax > e.maxBits {
-			e.maxBits = localMax
-		}
-		e.alarmCount += dAlarm
-		e.doneCount += dDone
-		e.flushMarks(v)
-	}
-	e.inSyncStep = false
+	e.runRound(active)
 	// Install: per-slot swap, O(active). Skipped slots keep their (possibly
 	// lagged) states; the read-previous-round invariant held during the
 	// round because writes went to the spare buffer's slots only.
@@ -246,7 +178,6 @@ func (e *Engine) stepSyncSparse() {
 		e.states[i], e.prev[i] = e.prev[i], e.states[i]
 		e.matT[i] = T + 1
 	}
-	e.stepSnap, e.stepNext = nil, nil
 	e.round++
 	e.activations += int64(len(active))
 	e.stepsTaken += int64(len(active))
@@ -256,43 +187,4 @@ func (e *Engine) stepSyncSparse() {
 			e.enqueue(i)
 		}
 	}
-}
-
-// runChunksSparse is the pool-worker body of a sparse round: claim chunks
-// of the active list off the shared cursor, step those nodes, merge the
-// flip-delta reduction.
-func (e *Engine) runChunksSparse(v *View) {
-	defer e.wg.Done()
-	defer func() { v.engine, v.snap = nil, nil }()
-	v.engine = e
-	v.snap = e.stepSnap
-	active := e.sparseActive
-	n := len(active)
-	localMax, dAlarm, dDone := 0, 0, 0
-	for {
-		lo := int(e.cursor.Add(stepChunk)) - stepChunk
-		if lo >= n {
-			break
-		}
-		hi := lo + stepChunk
-		if hi > n {
-			hi = n
-		}
-		for _, i := range active[lo:hi] {
-			b, da, dd := e.stepNodeSparse(v, int(i))
-			if b > localMax {
-				localMax = b
-			}
-			dAlarm += da
-			dDone += dd
-		}
-	}
-	e.mu.Lock()
-	if localMax > e.maxBits {
-		e.maxBits = localMax
-	}
-	e.alarmCount += dAlarm
-	e.doneCount += dDone
-	e.flushMarks(v)
-	e.mu.Unlock()
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/runtime"
 	"ssmst/internal/verify"
 )
 
@@ -82,10 +83,9 @@ func TestTransformerQuietCheckPhaseFastPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	ser := NewRunner(g, g.N(), verify.Sync, 2)
-	ser.Eng.Parallel = false
+	ser.Eng.Workers = 1
 	par := NewRunner(g, g.N(), verify.Sync, 2)
-	par.Eng.ParallelThreshold = 1
-	par.Eng.ForcePool = true
+	par.Eng.Workers = runtime.PoolWorkers() // fans out even on a single-core host
 	for name, r := range map[string]*Runner{"serial": ser, "parallel": par} {
 		r.SeedStable(l)
 		r.Eng.RunSyncRounds(40)

@@ -67,9 +67,7 @@ func TestInPlaceMatchesClone(t *testing.T) {
 	clone := newEngine(g, 2, true)
 	inplace := newEngine(g, 2, false)
 	par := newEngine(g, 2, false)
-	par.Parallel = true
-	par.ParallelThreshold = 1 // fan out below the default threshold
-	par.ForcePool = true      // even on a single-core host
+	par.Workers = runtime.PoolWorkers() // fans out even on a single-core host
 
 	m := NewMachine(g, g.N(), verify.Sync)
 	rounds := m.resyncDur() + m.buildDur() + m.labelDur() + 200
@@ -94,7 +92,7 @@ func TestInPlaceMatchesClone(t *testing.T) {
 func TestInPlaceMatchesCloneFromScramble(t *testing.T) {
 	g := graph.RandomConnected(12, 28, 17)
 	r := NewRunner(g, g.N(), verify.Sync, 5)
-	r.Eng.Parallel = false
+	r.Eng.Workers = 1
 	r.Scramble(rand.New(rand.NewSource(23)))
 
 	clone := newEngine(g, 5, true)

@@ -3,6 +3,7 @@ package selfstab
 import (
 	"errors"
 	"math/rand"
+	gort "runtime"
 
 	"ssmst/internal/graph"
 	"ssmst/internal/runtime"
@@ -24,7 +25,7 @@ type Runner struct {
 func NewRunner(g *graph.Graph, bound int, mode verify.Mode, seed int64) *Runner {
 	m := NewMachine(g, bound, mode)
 	eng := runtime.New(g, m, seed)
-	eng.Parallel = true
+	eng.Workers = gort.GOMAXPROCS(0)
 	m.Snapshot = func() []*SState {
 		out := make([]*SState, g.N())
 		for i := 0; i < g.N(); i++ {

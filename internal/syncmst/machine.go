@@ -1,6 +1,8 @@
 package syncmst
 
 import (
+	gort "runtime"
+
 	"ssmst/internal/bits"
 	"ssmst/internal/graph"
 	"ssmst/internal/hierarchy"
@@ -141,24 +143,7 @@ type NodeView interface {
 // Machine is the SYNC_MST register program.
 type Machine struct{}
 
-var (
-	_ runtime.Machine      = Machine{}
-	_ runtime.CoastStepper = Machine{}
-)
-
-// Quiescent implements runtime.CoastStepper: a Finished state is a literal
-// fixed point — StepCoreInto returns it unchanged regardless of the
-// neighbourhood — so a worklist engine may skip it outright.
-func (Machine) Quiescent(st runtime.State) bool {
-	s, ok := st.(*State)
-	return ok && s.Finished
-}
-
-// CoastAdvance implements runtime.CoastStepper: a Finished state carries no
-// clockwork, so replaying k skipped rounds is the identity.
-//
-//ssmst:coastpure
-func (Machine) CoastAdvance(st runtime.State, deg, k int) {}
+var _ runtime.Machine = Machine{}
 
 // NewState produces the clean simultaneous-wake-up state: the node is the
 // root of its own singleton fragment at level 0.
@@ -451,7 +436,7 @@ func (s *State) resetScratch(p int) {
 // against non-termination in tests.
 func RunRegister(g *graph.Graph, seed int64, maxRounds int) (*graph.Tree, *runtime.Engine, error) {
 	eng := runtime.New(g, Machine{}, seed)
-	eng.Parallel = true
+	eng.Workers = gort.GOMAXPROCS(0)
 	_, ok := eng.RunUntil(false, maxRounds, func(e *runtime.Engine) bool { return e.AllDone() })
 	if !ok {
 		return nil, eng, errCantFinish(maxRounds)

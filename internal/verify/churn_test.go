@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/runtime"
 )
 
 // churnRunners builds the three configurations every churn assertion runs
@@ -20,12 +21,11 @@ func churnRunners(t *testing.T, n, m int, seed int64) (*graph.Graph, *Labeled, *
 		t.Fatal(err)
 	}
 	inc := NewRunner(l, Sync, 3)
-	inc.Eng.Parallel = false
+	inc.Eng.Workers = 1
 	par := NewRunner(l, Sync, 3)
-	par.Eng.ParallelThreshold = 1
-	par.Eng.ForcePool = true
+	par.Eng.Workers = runtime.PoolWorkers() // fans out even on a single-core host
 	full := NewFullRecheckRunner(l, Sync, 3)
-	full.Eng.Parallel = false
+	full.Eng.Workers = 1
 	return g, l, inc, par, full
 }
 

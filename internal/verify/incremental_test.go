@@ -38,12 +38,11 @@ func TestIncrementalMatchesFullRecheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc := NewRunner(l, Sync, 3)
-	inc.Eng.Parallel = false
+	inc.Eng.Workers = 1
 	par := NewRunner(l, Sync, 3)
-	par.Eng.ParallelThreshold = 1
-	par.Eng.ForcePool = true
+	par.Eng.Workers = runtime.PoolWorkers() // fans out even on a single-core host
 	full := NewFullRecheckRunner(l, Sync, 3)
-	full.Eng.Parallel = false
+	full.Eng.Workers = 1
 	runners := []*Runner{inc, par, full}
 
 	compare := func(r int) {
@@ -188,9 +187,9 @@ func TestBitSizeMemoFaultParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc := NewRunner(l, Sync, 7)
-	inc.Eng.Parallel = false
+	inc.Eng.Workers = 1
 	full := NewFullRecheckRunner(l, Sync, 7)
-	full.Eng.Parallel = false
+	full.Eng.Workers = 1
 
 	check := func(stage string) {
 		t.Helper()

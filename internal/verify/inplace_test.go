@@ -32,9 +32,7 @@ func TestInPlaceMatchesClone(t *testing.T) {
 	clone := runtime.New(g, freshScratch{m}, 3)
 	inplace := runtime.New(g, m, 3)
 	par := runtime.New(g, m, 3)
-	par.Parallel = true
-	par.ParallelThreshold = 1 // fan out below the default threshold
-	par.ForcePool = true      // even on a single-core host
+	par.Workers = runtime.PoolWorkers() // fans out even on a single-core host
 	engines := []*runtime.Engine{clone, inplace, par}
 
 	compare := func(r int) {

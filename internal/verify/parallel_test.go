@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/runtime"
 )
 
-// TestParallelVerifierMatchesSerial forces worker-pool fan-out on the real
-// verifier machine (normally gated behind the parallelism threshold) and
-// asserts the resulting states are identical to serial stepping — the
-// engine's bit-identical-parallelism guarantee on a production machine, not
-// just the toy protocol. Run under -race in CI.
+// TestParallelVerifierMatchesSerial steps the real verifier machine with
+// the pool's full fan-out setting and asserts the resulting states are
+// identical to serial stepping — the engine's bit-identical-parallelism
+// guarantee on a production machine, not just the toy protocol. Run under
+// -race in CI.
 func TestParallelVerifierMatchesSerial(t *testing.T) {
 	g := graph.RandomConnected(48, 120, 5)
 	l, err := Mark(g)
@@ -19,10 +20,9 @@ func TestParallelVerifierMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := NewRunner(l, Sync, 3)
-	serial.Eng.Parallel = false
+	serial.Eng.Workers = 1
 	par := NewRunner(l, Sync, 3)
-	par.Eng.ParallelThreshold = 1 // fan out below the default threshold
-	par.Eng.ForcePool = true      // even on a single-core host
+	par.Eng.Workers = runtime.PoolWorkers() // fans out even on a single-core host
 	for r := 0; r < 60; r++ {
 		serial.Step()
 		par.Step()

@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"math/rand"
+	gort "runtime"
 
 	"ssmst/internal/graph"
 	"ssmst/internal/hierarchy"
@@ -20,8 +21,8 @@ type Runner struct {
 }
 
 // NewRunner builds an engine with the marker's labels installed. Synchronous
-// rounds fan out over the shared worker pool at large n (bit-identical to
-// serial stepping; see the runtime package doc), recycle each node's
+// rounds fan out over GOMAXPROCS pool workers (bit-identical to serial
+// stepping; see the runtime package doc), recycle each node's
 // two-rounds-old state so the round loop allocates nothing, and re-check
 // the static label layers only when the engine's change tracking reports a
 // neighbourhood label change (incremental verification; bit-identical to
@@ -29,7 +30,7 @@ type Runner struct {
 func NewRunner(l *Labeled, mode Mode, seed int64) *Runner {
 	m := &Machine{Mode: mode, Labeled: l}
 	eng := runtime.New(l.G, m, seed)
-	eng.Parallel = true
+	eng.Workers = gort.GOMAXPROCS(0)
 	return &Runner{Labeled: l, Machine: m, Eng: eng, Async: mode == Async}
 }
 
@@ -44,25 +45,16 @@ func NewFullRecheckRunner(l *Labeled, mode Mode, seed int64) *Runner {
 	return r
 }
 
-// NewCoastRunner is NewRunner (Sync mode) with the coast regime enabled but
-// DENSE stepping kept: every node is still visited every round, coasting
-// nodes through the clockwork branch. This is the full-sweep reference
-// configuration the worklist engine is differentially tested against — the
-// two run identical machine code and must be bit-identical everywhere.
-func NewCoastRunner(l *Labeled, seed int64) *Runner {
+// NewWorklistRunner is NewRunner (Sync mode) with the coast regime enabled
+// (Machine.Coast) and sparse active-set stepping (runtime.Engine.Worklist):
+// quiet rounds step only the frontier, skipped coasting nodes are replayed
+// in closed form, making round cost O(active + Δ) instead of O(n).
+// Verdicts, detection rounds, alarm traces and MaxStateBits are
+// bit-identical to the same machine stepped densely (Worklist off) by
+// construction (worklist_parity_test.go, FuzzWorklistParity).
+func NewWorklistRunner(l *Labeled, seed int64) *Runner {
 	r := NewRunner(l, Sync, seed)
 	r.Machine.Coast = true
-	return r
-}
-
-// NewWorklistRunner is NewCoastRunner with sparse active-set stepping
-// (runtime.Engine.Worklist): quiet rounds step only the frontier, skipped
-// coasting nodes are replayed in closed form, making round cost
-// O(active + Δ) instead of O(n). Verdicts, detection rounds, alarm traces
-// and MaxStateBits are bit-identical to NewCoastRunner by construction
-// (worklist_parity_test.go, FuzzWorklistParity).
-func NewWorklistRunner(l *Labeled, seed int64) *Runner {
-	r := NewCoastRunner(l, seed)
 	r.Eng.Worklist = true
 	return r
 }

@@ -52,7 +52,7 @@ func TestSamplerAskIdxInRangeAfterLevelShrink(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner(l, Sync, 4)
-	r.Eng.Parallel = false
+	r.Eng.Workers = 1
 	r.Eng.RunSyncRounds(DetectionBudget(g.N()) / 8)
 
 	for v := 0; v < g.N(); v++ {

@@ -19,7 +19,7 @@ func TestWorklistQuietRoundCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewWorklistRunner(l, 9)
-	r.Eng.Parallel = false
+	r.Eng.Workers = 1
 	budget := DetectionBudget(g.N())
 	settled := false
 	for i := 0; i < budget; i++ {
@@ -124,7 +124,7 @@ func TestWorklistChurnSettles(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewWorklistRunner(l, 9)
-	r.Eng.Parallel = false
+	r.Eng.Workers = 1
 	budget := DetectionBudget(g.N())
 	froze := false
 	for i := 0; i < budget && !froze; i++ {
@@ -172,8 +172,8 @@ func TestCoastQuietRoundZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewCoastRunner(l, 9)
-	r.Eng.Parallel = false
+	r := newDenseCoastRunner(l, 9)
+	r.Eng.Workers = 1
 	budget := DetectionBudget(g.N())
 	settled := false
 	for i := 0; i < budget && !settled; i++ {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/runtime"
 )
 
 // worklistParity is the differential battery locking the worklist engine to
@@ -18,18 +19,26 @@ import (
 // every node's full state, BitSize, alarm code, alarm rounds, and the
 // MaxStateBits high-water mark.
 
+// newDenseCoastRunner is the full-sweep coast reference: the worklist
+// runner's machine (coast regime on) stepped densely, so every node is
+// still visited every round, coasting nodes through the clockwork branch.
+func newDenseCoastRunner(l *Labeled, seed int64) *Runner {
+	r := NewWorklistRunner(l, seed)
+	r.Eng.Worklist = false
+	return r
+}
+
 // parityRunners builds the pair over one shared mutable graph: the dense
 // full-sweep coast reference (serial — the semantics oracle) and the sparse
 // worklist engine, serial or pool-forced.
 func parityRunners(l *Labeled, seed int64, parallel bool) (*Runner, *Runner) {
-	dense := NewCoastRunner(l, seed)
-	dense.Eng.Parallel = false
+	dense := newDenseCoastRunner(l, seed)
+	dense.Eng.Workers = 1
 	wl := NewWorklistRunner(l, seed)
 	if parallel {
-		wl.Eng.ParallelThreshold = 1
-		wl.Eng.ForcePool = true
+		wl.Eng.Workers = runtime.PoolWorkers() // fans out even on a single-core host
 	} else {
-		wl.Eng.Parallel = false
+		wl.Eng.Workers = 1
 	}
 	return dense, wl
 }

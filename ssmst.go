@@ -30,14 +30,14 @@ import (
 )
 
 // Engine is the double-buffered stepping engine that executes register
-// protocols (runners expose theirs as Eng). Tuning knobs: Parallel enables
-// worker-pool fan-out for synchronous rounds, Workers caps it, and
-// ParallelThreshold sets the minimum n at which fan-out engages. Parallel
+// protocols (runners expose theirs as Eng). Its one fan-out knob is
+// Workers: ≤ 1 steps synchronous rounds serially, k ≥ 2 fans them out over
+// up to k pool workers. Runners default to runtime.GOMAXPROCS(0). Parallel
 // stepping is bit-identical to serial stepping.
 type Engine = runtime.Engine
 
 // PoolWorkers reports the size of the shared synchronous worker pool
-// (GOMAXPROCS at first use).
+// (GOMAXPROCS at first use, at least 2).
 func PoolWorkers() int { return runtime.PoolWorkers() }
 
 // Graph is an undirected edge-weighted network with unique node identities
@@ -120,23 +120,16 @@ func NewVerifierFullRecheck(l *Labeled, mode Mode, seed int64) *Verifier {
 	return verify.NewFullRecheckRunner(l, mode, seed)
 }
 
-// NewVerifierCoast is NewVerifier (Sync only) with the coasting regime
-// enabled: nodes whose neighbourhood certifies quiet — static verdict
-// memo-valid, trains at rest, sampler sweep starved for a full horizon —
+// NewVerifierWorklist is NewVerifier (Sync only) with the coasting regime
+// enabled — nodes whose neighbourhood certifies quiet (static verdict
+// memo-valid, trains at rest, sampler sweep starved for a full horizon)
 // freeze into pure per-node clockwork, and any label change melts the
-// frozen region back awake at one hop per round. Detection behaviour is
-// bit-identical to NewVerifier on correct and faulty instances alike.
-func NewVerifierCoast(l *Labeled, seed int64) *Verifier {
-	return verify.NewCoastRunner(l, seed)
-}
-
-// NewVerifierWorklist is NewVerifierCoast on the engine's sparse worklist
-// stepping mode (PR 8): each round steps only the active frontier — nodes
-// whose 1-hop neighbourhood changed — and replays every skipped node's
-// clocks algebraically on demand, so a quiet certified network costs
-// O(active + Δ) per round instead of Θ(n) (measured flat in n: ~5 ns/round
-// at n=65536). Verdicts, detection rounds, alarm traces and MaxStateBits
-// are bit-identical to the dense path.
+// frozen region back awake at one hop per round — on the engine's sparse
+// worklist stepping mode: each round steps only the active frontier and
+// replays every skipped node's clocks algebraically on demand, so a quiet
+// certified network costs O(active + Δ) per round instead of Θ(n)
+// (measured flat in n: ~5 ns/round at n=65536). Verdicts, detection
+// rounds, alarm traces and MaxStateBits are bit-identical to NewVerifier.
 func NewVerifierWorklist(l *Labeled, seed int64) *Verifier {
 	return verify.NewWorklistRunner(l, seed)
 }
