@@ -22,8 +22,9 @@
 // k ∈ {1, 4, 16, n/4} (deterministic, guarded for exact reproduction —
 // each run is double-checked against the centralized oracles before being
 // recorded), and one "oracle" row records the wall time of a combined
-// centralized cross-check (DFS T-lightness + cycle Union-Find) at n=4096 —
-// the sequential baseline the distributed round costs are read against.
+// centralized cross-check (path-maximum T-lightness + cycle Union-Find,
+// each O((n+m) log n)) at n=4096 — the sequential baseline the distributed
+// round costs are read against.
 //
 // The quiet-coast rows (PR 8) record the steady-state round cost over a
 // fully certified, unchanging network — the sparse worklist engine against

@@ -180,48 +180,42 @@ func HighGirth(n, m, girth int, seed int64) *Graph {
 		g.MustAddEdge(i, i+1, ws[k])
 		k++
 	}
+	// withinDistance reports whether v is reachable from u in at most limit
+	// hops: a BFS truncated at depth limit, over buffers allocated once per
+	// graph. dist[x] is valid only while seen[x] holds the current query's
+	// stamp, so a query costs the nodes it visits, not O(n).
+	seen, dist, queue := make([]int, n), make([]int, n), make([]int, 0, n)
+	stamp := 0
+	withinDistance := func(u, v, limit int) bool {
+		stamp++
+		seen[u], dist[u] = stamp, 0
+		queue = append(queue[:0], u)
+		for i := 0; i < len(queue); i++ {
+			x := queue[i]
+			if dist[x] >= limit {
+				continue
+			}
+			for _, h := range g.Ports(x) {
+				if seen[h.Peer] != stamp {
+					if h.Peer == v {
+						return true
+					}
+					seen[h.Peer], dist[h.Peer] = stamp, dist[x]+1
+					queue = append(queue, h.Peer)
+				}
+			}
+		}
+		return false
+	}
 	for attempts := 0; g.M() < m && attempts < 30*m; attempts++ {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v || g.PortTo(u, v) >= 0 || withinDistance(g, u, v, girth-2) {
+		if u == v || g.PortTo(u, v) >= 0 || withinDistance(u, v, girth-2) {
 			continue
 		}
 		g.MustAddEdge(u, v, ws[k])
 		k++
 	}
 	return g
-}
-
-// withinDistance reports whether v is reachable from u in at most limit
-// hops — a BFS truncated at depth limit, so chord screening stays cheap on
-// large sparse graphs.
-func withinDistance(g *Graph, u, v, limit int) bool {
-	if u == v {
-		return true
-	}
-	dist := make([]int, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[u] = 0
-	queue := make([]int, 0, g.N())
-	queue = append(queue, u)
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if dist[x] >= limit {
-			continue
-		}
-		for _, h := range g.Ports(x) {
-			if dist[h.Peer] < 0 {
-				if h.Peer == v {
-					return true
-				}
-				dist[h.Peer] = dist[x] + 1
-				queue = append(queue, h.Peer)
-			}
-		}
-	}
-	return false
 }
 
 // Families lists the campaign graph-family names ByFamily resolves — the
@@ -233,12 +227,20 @@ func Families() []string {
 // ByFamily builds the named campaign family at n nodes: "random"
 // (RandomConnected, m=3n), "powerlaw" (preferential attachment, 3 links per
 // node), "geometric" (road-like, mean degree ~6), "highgirth" (girth ≥ 6,
-// m=2n target). Unknown names are an error, never a silent default.
+// m=2n target). Unknown names and sizes a family's generator rejects (n < 1
+// for every family, n < 4 for "powerlaw") are errors, never panics or a
+// silent default.
 func ByFamily(name string, n int, seed int64) (*Graph, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("graph: family %q needs n >= 1 (n=%d)", name, n)
+	}
 	switch name {
 	case "random":
 		return RandomConnected(n, 3*n, seed), nil
 	case "powerlaw":
+		if n < 4 {
+			return nil, fmt.Errorf("graph: family \"powerlaw\" needs n >= 4 for 3 links per node (n=%d)", n)
+		}
 		return PowerLaw(n, 3, seed), nil
 	case "geometric":
 		return Geometric(n, seed), nil

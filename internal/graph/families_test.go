@@ -1,6 +1,10 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"testing"
 )
 
@@ -194,5 +198,93 @@ func TestCorruptedMSTGeneratorSaturates(t *testing.T) {
 	}
 	if _, err := gen.Generate(1, 1); err == nil {
 		t.Fatal("saturated generator returned a tree without error")
+	}
+}
+
+// graphDigest hashes a graph's node IDs and its edges (U V W, in index
+// order): two graphs with the same digest are byte-identical as generator
+// output.
+func graphDigest(g *Graph) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(x int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(x))
+		h.Write(buf[:])
+	}
+	put(int64(g.N()))
+	for v := 0; v < g.N(); v++ {
+		put(int64(g.ID(v)))
+	}
+	put(int64(g.M()))
+	for _, e := range g.Edges() {
+		put(int64(e.U))
+		put(int64(e.V))
+		put(int64(e.W))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestHighGirthGolden pins HighGirth's output byte for byte: the digests
+// were recorded from the generator before its chord screening was made
+// allocation-free, so any change in which chords are accepted shows here.
+// The n=64 graphs are also checked to have girth ≥ 6.
+func TestHighGirthGolden(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		seed int64
+		want string
+	}{
+		{64, 1, "108f18449ea589d385cbce4c1337e1cc721882934851ceb34a5fffbb18a681d3"},
+		{64, 2, "db3aaaa87447a35c8a41d587b71fd27dda32eeaf013fde2fe84a3aca67a18db8"},
+		{64, 3, "c33371c36664682354561b0537692c9885d25eed39ec0320710e3d4e16464414"},
+		{1000, 1, "6c5ad50560479e71f990d3a28e885bbd8cbb56e541a23edce8df6ff46ee66733"},
+		{1000, 2, "25977ce952d6cc4db95e5536ba8ccbb57eaab88e0e9969700f375f7319575150"},
+		{1000, 3, "ae76cc8dbecdea11be330bd039bd717a6d380e70cfc353d351ab216537246107"},
+		{4096, 1, "03663fee72b323567edd8952d49ce4880b70345581ee64347ba75b892d8c9281"},
+		{4096, 2, "387915ecbaf300f521b8ec9be416894ac5a36d57f6a7a2d3166784354a06d2cd"},
+		{4096, 3, "d6831fca0fb3324a26ebd2c364969238991c50d1010c3ef83676a83b7ebf64d6"},
+	} {
+		g := HighGirth(tc.n, 2*tc.n, 6, tc.seed)
+		if got := graphDigest(g); got != tc.want {
+			t.Errorf("n=%d seed %d: digest %s, want %s", tc.n, tc.seed, got, tc.want)
+		}
+		if tc.n == 64 {
+			if girth := exactGirth(g); girth < 6 {
+				t.Errorf("n=%d seed %d: girth %d < 6", tc.n, tc.seed, girth)
+			}
+		}
+	}
+}
+
+// TestByFamilySmallSizes: ByFamily never panics; for every family and
+// n = 1…8 it either returns a well-formed n-node graph or an error, and a
+// non-positive n is an error for every family.
+func TestByFamilySmallSizes(t *testing.T) {
+	for _, fam := range Families() {
+		for n := -1; n <= 8; n++ {
+			t.Run(fmt.Sprintf("%s/n=%d", fam, n), func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panic: %v", r)
+					}
+				}()
+				g, err := ByFamily(fam, n, 1)
+				if n < 1 {
+					if err == nil {
+						t.Fatal("no error for a non-positive size")
+					}
+					return
+				}
+				if err != nil {
+					return
+				}
+				if g.N() != n || !g.Connected() {
+					t.Errorf("n=%d connected=%v, want n=%d connected", g.N(), g.Connected(), n)
+				}
+				if err := g.Validate(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
 	}
 }

@@ -2,10 +2,12 @@
 // cross-check every distributed verdict in an adversarial campaign run.
 // Two independent formulations of minimality are implemented:
 //
-//   - TLightness: per non-tree edge, a DFS over the tree tracking the
-//     heaviest edge on the tree path (the naive centralized verifier of
-//     Kor–Korman–Peleg). T is minimal iff no non-tree edge beats the
-//     heaviest tree edge on its path (no edge is "T-light").
+//   - TLightness: per non-tree edge, the heaviest tree edge on its tree
+//     path, answered from binary-lifting path-maximum tables over the
+//     BFS-rooted tree in O((n+m) log n). T is minimal iff no non-tree edge
+//     beats the heaviest tree edge on its path (no edge is "T-light"). The
+//     naive per-edge DFS verifier of Kor–Korman–Peleg, O(m·n), is kept in
+//     the tests as the reference this formulation is checked against.
 //   - CycleUnionFind: a Kruskal-style greedy sweep over a union-find in
 //     ascending edge order. Under a total order the greedy forest is the
 //     unique MST, so T is minimal iff every greedily selected edge is a
@@ -20,6 +22,7 @@ package oracle
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"ssmst/internal/graph"
@@ -38,18 +41,23 @@ type Verdict struct {
 }
 
 // TLightness answers whether treeEdges is a minimum spanning tree of g
-// under less, by the T-lightness formulation: for every non-tree edge e, a
-// DFS from one endpoint over the tree finds the heaviest tree edge on the
-// path to the other endpoint; e must not be lighter. O(m·n) worst case —
-// this is deliberately the naive centralized baseline the distributed
-// scheme's costs are compared against.
+// under less, by the T-lightness formulation: for every non-tree edge e,
+// find the heaviest tree edge on the tree path between its endpoints; e
+// must not be lighter. The tree is rooted by BFS, which also decides
+// spanning-ness without the union-find CycleUnionFind relies on.
+// Binary-lifting tables hold, per node and power of two, the ancestor 2^k
+// steps up and the heaviest tree edge on that climb, so each path maximum
+// costs O(log n) and the whole check O((n+m) log n). Non-tree edges are
+// scanned in index order, so the witness is the lowest-indexed T-light
+// edge. The naive O(m·n) per-edge DFS of Kor–Korman–Peleg is kept as
+// naiveTLightness in oracle_test.go, the reference this must match verdict
+// for verdict.
 func TLightness(g *graph.Graph, treeEdges []int, less graph.EdgeOrder) Verdict {
 	v := Verdict{ViolatingEdge: -1, TreeEdge: -1}
-	if !graph.IsSpanningTree(g, treeEdges) {
+	n := g.N()
+	if len(treeEdges) != n-1 {
 		return v
 	}
-	v.Spanning = true
-	n := g.N()
 	inTree := make([]bool, g.M())
 	adj := make([][]graph.Half, n)
 	for _, e := range treeEdges {
@@ -58,47 +66,84 @@ func TLightness(g *graph.Graph, treeEdges []int, less graph.EdgeOrder) Verdict {
 		adj[ed.U] = append(adj[ed.U], graph.Half{Peer: ed.V, Edge: e})
 		adj[ed.V] = append(adj[ed.V], graph.Half{Peer: ed.U, Edge: e})
 	}
-	// Per-edge DFS with generation-stamped visited marks, so the buffers are
-	// allocated once for all m-n+1 searches.
-	visited := make([]int, n)
-	for i := range visited {
-		visited[i] = -1
+	// BFS from node 0: level 0 of the tables is the parent and parent edge
+	// (the root is its own parent, under no edge). n-1 edges reaching all n
+	// nodes are exactly a spanning tree.
+	levels := bits.Len(uint(n))
+	up := make([][]int32, levels)
+	mx := make([][]int32, levels)
+	for k := range up {
+		up[k] = make([]int32, n)
+		mx[k] = make([]int32, n)
 	}
-	heaviest := make([]int, n) // heaviest tree edge on the path from the DFS root
-	stack := make([]int, 0, n)
+	depth := make([]int32, n)
+	for i := range depth {
+		depth[i] = -1
+	}
+	depth[0] = 0
+	mx[0][0] = -1
+	queue := append(make([]int32, 0, n), 0)
+	for i := 0; i < len(queue); i++ {
+		x := queue[i]
+		for _, h := range adj[x] {
+			if depth[h.Peer] >= 0 {
+				continue
+			}
+			depth[h.Peer] = depth[x] + 1
+			up[0][h.Peer], mx[0][h.Peer] = x, int32(h.Edge)
+			queue = append(queue, int32(h.Peer))
+		}
+	}
+	if len(queue) != n {
+		return v
+	}
+	v.Spanning = true
+	// heavier returns the heavier of two tree edges, -1 standing for none.
+	heavier := func(a, b int32) int32 {
+		if a < 0 || (b >= 0 && less(int(a), int(b))) {
+			return b
+		}
+		return a
+	}
+	for k := 1; k < levels; k++ {
+		for x := range up[k] {
+			mid := up[k-1][x]
+			up[k][x] = up[k-1][mid]
+			mx[k][x] = heavier(mx[k-1][x], mx[k-1][mid])
+		}
+	}
+	// pathMax climbs a and b to their lowest common ancestor and returns the
+	// heaviest tree edge crossed.
+	pathMax := func(a, b int32) int32 {
+		best := int32(-1)
+		if depth[a] < depth[b] {
+			a, b = b, a
+		}
+		for k, diff := 0, depth[a]-depth[b]; diff > 0; k, diff = k+1, diff>>1 {
+			if diff&1 != 0 {
+				best = heavier(best, mx[k][a])
+				a = up[k][a]
+			}
+		}
+		if a == b {
+			return best
+		}
+		for k := levels - 1; k >= 0; k-- {
+			if up[k][a] != up[k][b] {
+				best = heavier(best, heavier(mx[k][a], mx[k][b]))
+				a, b = up[k][a], up[k][b]
+			}
+		}
+		return heavier(best, heavier(mx[0][a], mx[0][b]))
+	}
 	for e := 0; e < g.M(); e++ {
 		if inTree[e] {
 			continue
 		}
 		ed := g.Edge(e)
-		stack = append(stack[:0], ed.U)
-		visited[ed.U] = e
-		heaviest[ed.U] = -1
-		found := false
-		for len(stack) > 0 && !found {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, h := range adj[x] {
-				if visited[h.Peer] == e {
-					continue
-				}
-				visited[h.Peer] = e
-				hv := heaviest[x]
-				if hv < 0 || less(hv, h.Edge) {
-					hv = h.Edge
-				}
-				heaviest[h.Peer] = hv
-				if h.Peer == ed.V {
-					found = true
-					break
-				}
-				stack = append(stack, h.Peer)
-			}
-		}
-		// found always holds on a spanning tree; e is T-light iff it is
-		// strictly lighter than the heaviest path edge.
-		if found && less(e, heaviest[ed.V]) {
-			v.ViolatingEdge, v.TreeEdge = e, heaviest[ed.V]
+		// e is T-light iff it is strictly lighter than the heaviest path edge.
+		if t := pathMax(int32(ed.U), int32(ed.V)); less(e, int(t)) {
+			v.ViolatingEdge, v.TreeEdge = e, int(t)
 			return v
 		}
 	}

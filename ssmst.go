@@ -266,9 +266,10 @@ func CorruptSpanningTree(g *Graph, k int, seed int64) ([]int, error) {
 }
 
 // OracleIsMST is the centralized ground truth the distributed verdicts are
-// cross-checked against: it runs both the DFS T-lightness oracle and the
-// Union-Find cycle-property oracle (internal/oracle) and errors if the two
-// independent checkers ever disagree.
+// cross-checked against: it runs both the path-maximum T-lightness oracle
+// and the Union-Find cycle-property oracle (internal/oracle), each
+// O((n+m) log n), and errors if the two independent checkers ever
+// disagree.
 func OracleIsMST(g *Graph, treeEdges []int) (bool, error) {
 	return oracle.CrossCheck(g, treeEdges, graph.ByWeight(g))
 }
